@@ -11,7 +11,7 @@ using runtime::ServingError;
 using runtime::ServingErrorCode;
 
 Client::Client(const std::string& host, std::uint16_t port)
-    : socket_(Socket::connect(host, port))
+    : socket_(Socket::connect(host, port)), reader_(socket_)
 {
 }
 
@@ -48,7 +48,7 @@ Response
 Client::recv()
 {
     std::string payload;
-    if (!read_frame(socket_, kResponseMagic, &payload)) {
+    if (!reader_.next(kResponseMagic, &payload)) {
         throw ServingError(ServingErrorCode::kNetwork,
                            "server closed the connection while a "
                            "response was expected");

@@ -44,6 +44,10 @@ class Client
      */
     Client(const std::string& host, std::uint16_t port);
 
+    // The frame reader borrows `socket_`, so a client never moves.
+    Client(const Client&) = delete;
+    Client& operator=(const Client&) = delete;
+
     /**
      * One blocking round trip: ship `activation` to `endpoint` under
      * `request_id` (which keys the server-side noise draw), wait for
@@ -91,6 +95,7 @@ class Client
 
   private:
     Socket socket_;
+    FrameReader reader_;  ///< Buffers `socket_`'s response frames.
 };
 
 }  // namespace net

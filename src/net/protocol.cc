@@ -5,6 +5,7 @@
 #include "src/net/protocol.h"
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -220,27 +221,24 @@ decode_response_payload(const std::string& payload)
     });
 }
 
-bool
-read_frame(Socket& socket, std::uint32_t expected_magic,
-           std::string* payload)
-{
-    // The envelope is read with raw socket calls (a stream adapter
-    // would hide WHERE the bytes stopped); everything after it goes
-    // through the checked wire readers.
-    unsigned char header[12];
-    const std::size_t first = socket.recv_some(header, sizeof(header));
-    if (first == 0) {
-        return false;  // clean close between frames
-    }
-    if (first < sizeof(header)) {
-        socket.recv_all(header + first, sizeof(header) - first);
-    }
+namespace {
 
-    const auto read_le32 = [&header](int at) {
-        return static_cast<std::uint32_t>(header[at]) |
-               static_cast<std::uint32_t>(header[at + 1]) << 8 |
-               static_cast<std::uint32_t>(header[at + 2]) << 16 |
-               static_cast<std::uint32_t>(header[at + 3]) << 24;
+constexpr std::size_t kEnvelopeBytes = 12;
+
+/**
+ * Check a complete 12-byte envelope against the frame kind this side
+ * accepts and return its payload length. Every check runs before the
+ * caller sizes anything from the length.
+ */
+std::uint32_t
+check_envelope(const char* bytes, std::uint32_t expected_magic)
+{
+    const auto read_le32 = [bytes](int at) {
+        std::uint32_t value = 0;
+        for (int i = 3; i >= 0; --i) {
+            value = value << 8 | static_cast<unsigned char>(bytes[at + i]);
+        }
+        return value;
     };
     const std::uint32_t magic = read_le32(0);
     const std::uint32_t version = read_le32(4);
@@ -263,12 +261,67 @@ read_frame(Socket& socket, std::uint32_t expected_magic,
                        " exceeds the " +
                        std::to_string(kMaxFramePayload) + "-byte limit");
     }
+    return length;
+}
 
-    payload->resize(length);
-    if (length > 0) {
-        socket.recv_all(&(*payload)[0], length);
+}  // namespace
+
+FrameReader::FrameReader(Socket& socket)
+    : socket_(socket), buffer_(kInitialBuffer, '\0')
+{
+}
+
+bool
+FrameReader::next(std::uint32_t expected_magic, std::string* payload)
+{
+    // The envelope is read from raw socket bytes (a stream adapter
+    // would hide WHERE the bytes stopped); everything after it goes
+    // through the checked wire readers.
+    for (;;) {
+        const std::size_t buffered = end_ - begin_;
+        std::size_t need = kEnvelopeBytes;
+        if (buffered >= kEnvelopeBytes) {
+            const char* frame = buffer_.data() + begin_;
+            need += check_envelope(frame, expected_magic);
+            if (buffered >= need) {
+                payload->assign(frame + kEnvelopeBytes,
+                                need - kEnvelopeBytes);
+                begin_ += need;
+                if (begin_ == end_) {
+                    begin_ = end_ = 0;
+                    if (buffer_.size() > kInitialBuffer) {
+                        buffer_.resize(kInitialBuffer);
+                        buffer_.shrink_to_fit();
+                    }
+                }
+                return true;
+            }
+        }
+
+        // Make room for the rest of the frame being assembled: slide
+        // the partial frame to the front, then grow to fit it whole.
+        if (buffer_.size() - begin_ < need) {
+            std::memmove(&buffer_[0], buffer_.data() + begin_, buffered);
+            begin_ = 0;
+            end_ = buffered;
+        }
+        if (buffer_.size() < need) {
+            buffer_.resize(need);
+        }
+
+        const std::size_t n =
+            socket_.recv_some(&buffer_[end_], buffer_.size() - end_);
+        if (n == 0) {
+            if (buffered == 0) {
+                return false;  // clean close between frames
+            }
+            throw ServingError(ServingErrorCode::kNetwork,
+                               "peer disconnected mid-transfer (" +
+                                   std::to_string(need - buffered) +
+                                   " bytes still expected)");
+        }
+        end_ += n;
     }
-    return true;
 }
 
 }  // namespace net

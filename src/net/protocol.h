@@ -45,6 +45,7 @@
 #ifndef SHREDDER_NET_PROTOCOL_H
 #define SHREDDER_NET_PROTOCOL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -150,21 +151,48 @@ Request decode_request_payload(const std::string& payload);
 Response decode_response_payload(const std::string& payload);
 
 /**
- * Read one frame envelope + payload off `socket`.
+ * The receiving side of one connection's frame stream.
  *
- * @param socket         The connected stream.
- * @param expected_magic `kRequestMagic` or `kResponseMagic` — which
- *                       frame kind this side of the conversation
- *                       accepts.
- * @param payload        Out: the payload bytes (envelope stripped).
- * @return true when a frame was read; false on a CLEAN close — the
- *         peer shut the stream down exactly between frames.
- * @throws runtime::ServingError `kProtocol` for a malformed envelope
- *         (wrong magic, future version, oversize payload) and
- *         `kNetwork` for a disconnect mid-frame.
+ * It owns a per-connection buffer (`kInitialBuffer` bytes to start)
+ * and fills it with one `recv_some` per call to the kernel, so a
+ * pipelined burst of frames costs one syscall, not two per frame.
+ * `next` hands out every complete frame already buffered before it
+ * reads again. A frame larger than the buffer grows it, but only
+ * after the envelope has passed its checks; the buffer shrinks back
+ * once that frame is consumed.
+ *
+ * The socket is borrowed and must outlive the reader.
  */
-bool read_frame(Socket& socket, std::uint32_t expected_magic,
-                std::string* payload);
+class FrameReader
+{
+  public:
+    /** Initial (and resting) buffer size in bytes. */
+    static constexpr std::size_t kInitialBuffer = 64u << 10;
+
+    /** Read frames off `socket`, which the reader borrows. */
+    explicit FrameReader(Socket& socket);
+
+    /**
+     * Return the next frame's payload.
+     *
+     * @param expected_magic `kRequestMagic` or `kResponseMagic` — which
+     *                       frame kind this side of the conversation
+     *                       accepts.
+     * @param payload        Out: the payload bytes (envelope stripped).
+     * @return true when a frame was read; false on a CLEAN close — the
+     *         peer shut the stream down exactly between frames.
+     * @throws runtime::ServingError `kProtocol` for a malformed envelope
+     *         (wrong magic, future version, oversize payload) and
+     *         `kNetwork` for a disconnect mid-frame.
+     */
+    bool next(std::uint32_t expected_magic, std::string* payload);
+
+  private:
+    Socket& socket_;
+    std::string buffer_;     ///< Received bytes; [begin_, end_) unread.
+    std::size_t begin_ = 0;  ///< First unconsumed byte.
+    std::size_t end_ = 0;    ///< One past the last received byte.
+};
 
 }  // namespace net
 }  // namespace shredder

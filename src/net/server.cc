@@ -5,6 +5,7 @@
 #include "src/net/server.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <future>
@@ -20,6 +21,49 @@ namespace net {
 
 using runtime::ServingError;
 using runtime::ServingErrorCode;
+
+namespace {
+
+/** In-flight work: an engine future, or an already-typed reply. */
+struct PendingReply
+{
+    bool is_ready = false;      ///< True: `ready` is the reply.
+    std::future<Tensor> future; ///< Engine result (when !is_ready).
+    Response ready;             ///< Pre-built (error) response.
+};
+
+/** True when `entry` can be answered without blocking. */
+bool
+is_resolved(const PendingReply& entry)
+{
+    return entry.is_ready ||
+           entry.future.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+}
+
+/** Wait for `entry`'s answer and turn it into a response. */
+Response
+resolve(PendingReply& entry)
+{
+    if (entry.is_ready) {
+        return std::move(entry.ready);
+    }
+    Response response;
+    response.request_id = entry.ready.request_id;
+    try {
+        response.output = entry.future.get();
+        response.status = WireStatus::kOk;
+    } catch (const ServingError& e) {
+        response.status = wire_status(e.code());
+        response.message = e.what();
+    } catch (const std::exception& e) {
+        response.status = WireStatus::kInternal;
+        response.message = e.what();
+    }
+    return response;
+}
+
+}  // namespace
 
 /**
  * One accepted client link. The reader thread decodes frames and
@@ -37,14 +81,7 @@ struct Server::Connection
 
     std::mutex mutex;  ///< Guards pending + flags below.
     std::condition_variable cv;
-    /** In-flight work: an engine future, or an already-typed reply. */
-    struct Pending
-    {
-        bool is_ready = false;      ///< True: `ready` is the reply.
-        std::future<Tensor> future; ///< Engine result (when !is_ready).
-        Response ready;             ///< Pre-built (error) response.
-    };
-    std::deque<Pending> pending;
+    std::deque<PendingReply> pending;
     bool reader_done = false;  ///< No further pending entries will come.
     bool closing = false;      ///< stop() wants both loops gone.
 
@@ -125,7 +162,7 @@ Server::reader_loop(Connection* connection)
                                      Response error_response) {
         std::unique_lock<std::mutex> lock(connection->mutex);
         if (note_protocol_error) {
-            Connection::Pending entry;
+            PendingReply entry;
             entry.is_ready = true;
             entry.ready = std::move(error_response);
             connection->pending.push_back(std::move(entry));
@@ -157,11 +194,11 @@ Server::reader_loop(Connection* connection)
         return;  // socket died before the first byte
     }
 
+    FrameReader frames(connection->socket);
+    std::string payload;
     for (;;) {
-        std::string payload;
         try {
-            if (!read_frame(connection->socket, kRequestMagic,
-                            &payload)) {
+            if (!frames.next(kRequestMagic, &payload)) {
                 finish(false, Response{});
                 return;  // clean close between frames
             }
@@ -198,7 +235,7 @@ Server::reader_loop(Connection* connection)
             return;
         }
 
-        Connection::Pending entry;
+        PendingReply entry;
         // Quantized activations stay quantized into the engine: the
         // endpoint either consumes them directly (int8 GEMM) or
         // dequantizes on a worker, not on the reader thread.
@@ -309,7 +346,12 @@ Server::serve_http(Connection* connection)
 void
 Server::writer_loop(Connection* connection)
 {
+    // Responses that are already answered when the front one resolves
+    // ride in the same send: one syscall per burst, never a wait to
+    // fill one.
+    constexpr std::size_t kMaxCoalescedBytes = 64u << 10;
     bool link_alive = true;
+    std::string out;
     for (;;) {
         std::unique_lock<std::mutex> lock(connection->mutex);
         connection->cv.wait(lock, [connection] {
@@ -319,36 +361,41 @@ Server::writer_loop(Connection* connection)
         if (connection->pending.empty()) {
             break;  // reader_done and everything flushed
         }
-        Connection::Pending entry = std::move(connection->pending.front());
+        PendingReply entry = std::move(connection->pending.front());
         connection->pending.pop_front();
         lock.unlock();
         connection->cv.notify_all();  // reader may be at its bound
 
-        Response response;
-        if (entry.is_ready) {
-            response = std::move(entry.ready);
-        } else {
-            response.request_id = entry.ready.request_id;
-            try {
-                response.output = entry.future.get();
-                response.status = WireStatus::kOk;
-            } catch (const ServingError& e) {
-                response.status = wire_status(e.code());
-                response.message = e.what();
-            } catch (const std::exception& e) {
-                response.status = WireStatus::kInternal;
-                response.message = e.what();
+        out.clear();
+        std::int64_t frames = 0;
+        for (;;) {
+            const Response response = resolve(entry);
+            if (link_alive) {
+                out += encode_response(response);
+                ++frames;
             }
+            if (out.size() >= kMaxCoalescedBytes) {
+                break;
+            }
+            lock.lock();
+            if (connection->pending.empty() ||
+                !is_resolved(connection->pending.front())) {
+                lock.unlock();
+                break;
+            }
+            entry = std::move(connection->pending.front());
+            connection->pending.pop_front();
+            lock.unlock();
+            connection->cv.notify_all();
         }
 
         if (!link_alive) {
             continue;  // keep consuming futures; nowhere to send
         }
         try {
-            const std::string frame = encode_response(response);
-            connection->socket.send_all(frame.data(), frame.size());
+            connection->socket.send_all(out.data(), out.size());
             std::lock_guard<std::mutex> stats_lock(mutex_);
-            ++stats_.frames_served;
+            stats_.frames_served += frames;
         } catch (const ServingError&) {
             // The client went away. Stop sending but keep draining
             // the queue so already-submitted work is consumed.

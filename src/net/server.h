@@ -9,7 +9,10 @@
  * the engine) and a writer thread (await the engine future → encode
  * response), so one connection can keep many requests in flight — the
  * pipelining an open-loop edge client needs — while responses still
- * carry the request id they answer.
+ * carry the request id they answer. Both ends pay one syscall per
+ * burst: the reader takes every frame a `recv` delivered from its
+ * `FrameReader` buffer, and the writer sends the front response
+ * together with every later one that is already answered.
  *
  * Trust boundary: every frame is parsed through the checked `wire`
  * readers (src/net/protocol.h). A malformed frame yields a best-effort

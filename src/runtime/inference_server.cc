@@ -201,18 +201,19 @@ InferenceServer::InferenceServer(
         free_contexts_.push_back(contexts_.back().get());
     }
 
-    prepare_direct_path();
+    prepare_int8_path();
 
     dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
 void
-InferenceServer::prepare_direct_path()
+InferenceServer::prepare_int8_path()
 {
     // All preconditions are structural and known at construction; a
-    // batch additionally requires a uniform encoding (all-int8 for
-    // the int8 path, all-fp32 for the fused path).
-    if (!policy_->additive() || sample_size_ == 0) {
+    // batch additionally requires every request to be int8 on the
+    // wire (see execute_batch).
+    if (!config_.int8_compute || !policy_->additive() ||
+        sample_size_ == 0) {
         return;
     }
     nn::Sequential& net = model_.network();
@@ -225,35 +226,18 @@ InferenceServer::prepare_direct_path()
         return;
     }
     auto* linear = dynamic_cast<nn::Linear*>(&net.layer(idx));
-    if (linear == nullptr || linear->in_features() != sample_size_) {
+    if (linear == nullptr || linear->in_features() != sample_size_ ||
+        linear->in_features() > kS8MaxK) {
         return;
     }
     direct_bias_ =
         linear->has_bias() ? linear->bias().value.data() : nullptr;
     direct_out_features_ = linear->out_features();
     tail_begin_ = idx + 1;
-
-    if (config_.fuse_fp32_noise) {
-        // The fused path recovers each request's noise as a single
-        // row (`apply(0, id)`) and performs ONE fp32 add per element.
-        // A multi-stage additive composition rounds between stages on
-        // the general path (`(a + n1) + n2`), which one fused add
-        // (`a + (n1 + n2)`) cannot reproduce bit-for-bit — so those
-        // stay on the general path regardless of batch composition.
-        const auto* composed =
-            dynamic_cast<const ComposedPolicy*>(policy_);
-        if (composed == nullptr || composed->stages().size() <= 1) {
-            f32_weights_ = linear->weight().value.data();
-            fp32_ready_ = true;
-        }
-    }
-
-    if (config_.int8_compute && linear->in_features() <= kS8MaxK) {
-        s8_weights_ = prepare_s8_weights(linear->weight().value.data(),
-                                         linear->out_features(),
-                                         linear->in_features());
-        int8_ready_ = true;
-    }
+    s8_weights_ = prepare_s8_weights(linear->weight().value.data(),
+                                     linear->out_features(),
+                                     linear->in_features());
+    int8_ready_ = true;
 }
 
 InferenceServer::~InferenceServer() { shutdown(); }
@@ -572,19 +556,15 @@ InferenceServer::execute_batch(std::vector<Request> batch)
     Stopwatch execution;
     std::int64_t quantized_count = 0;
     bool direct = int8_ready_;
-    bool fp32_direct = fp32_ready_;
     for (const Request& request : batch) {
         quantized_count += request.is_quantized ? 1 : 0;
         direct = direct && request.is_quantized &&
                  request.quantized.dtype == WireDtype::kI8;
-        fp32_direct = fp32_direct && !request.is_quantized;
     }
 
     Tensor logits;
     if (direct) {
         logits = forward_batch_int8(batch, n);
-    } else if (fp32_direct) {
-        logits = forward_batch_fp32_fused(batch, n);
     } else {
         Tensor fused(batched_shape(sample_shape_, n));
         for (std::int64_t i = 0; i < n; ++i) {
@@ -632,7 +612,6 @@ InferenceServer::execute_batch(std::vector<Request> batch)
         stats_.max_batch_seen = std::max(stats_.max_batch_seen, n);
         stats_.quantized_requests += quantized_count;
         stats_.int8_direct_batches += direct ? 1 : 0;
-        stats_.fp32_fused_batches += fp32_direct ? 1 : 0;
         for (const int bucket : wait_buckets) {
             ++stats_.queue_wait_hist[bucket];
         }
@@ -685,42 +664,6 @@ InferenceServer::forward_batch_int8(const std::vector<Request>& batch,
             a_scale.data(), a_zp.data(), a_noise.data(),
             s8_weights_.data.data(), s8_weights_.scale,
             s8_weights_.colsum.data(), direct_bias_, first.data());
-
-    nn::ExecutionContext* ctx = acquire_context();
-    Tensor logits = model_.network().forward_range(
-        first, tail_begin_, -1, *ctx, nn::Mode::kEval);
-    release_context(ctx);
-    return logits;
-}
-
-Tensor
-InferenceServer::forward_batch_fp32_fused(
-    const std::vector<Request>& batch, std::int64_t n)
-{
-    // fp32 twin of the int8 direct path: per-request activation rows
-    // feed gemm_rows_fused, which adds each request's noise row inside
-    // its A-panel packing pass — no fused batch tensor and no separate
-    // noise-add pass over the data. Bit-exact with the general path by
-    // gemm_rows_fused's contract (single-add policies only; see
-    // prepare_direct_path).
-    std::vector<const float*> a_rows(static_cast<std::size_t>(n));
-    std::vector<const float*> a_noise(static_cast<std::size_t>(n));
-    // Additive policies: apply(0, id) IS the noise row (bit-identical
-    // to what apply_into would have added on the general path).
-    const Tensor zeros = Tensor::zeros(sample_shape_);
-    std::vector<Tensor> noise_rows;
-    noise_rows.reserve(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-        const Request& request = batch[static_cast<std::size_t>(i)];
-        noise_rows.push_back(policy_->apply(zeros, request.id));
-        a_rows[static_cast<std::size_t>(i)] = request.activation.data();
-        a_noise[static_cast<std::size_t>(i)] = noise_rows.back().data();
-    }
-
-    Tensor first(Shape({n, direct_out_features_}));
-    gemm_rows_fused(n, direct_out_features_, sample_size_, a_rows.data(),
-                    a_noise.data(), f32_weights_, direct_bias_,
-                    first.data());
 
     nn::ExecutionContext* ctx = acquire_context();
     Tensor logits = model_.network().forward_range(

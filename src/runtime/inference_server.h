@@ -156,20 +156,6 @@ struct InferenceServerConfig
      */
     bool int8_compute = false;
     /**
-     * Fuse the policy's additive noise into the fp32 GEMM A-panel
-     * packing pass (`gemm_rows_fused`) instead of materializing a
-     * noised batch tensor first — the fp32 twin of the int8 direct
-     * path. Engaged per batch when the same structural preconditions
-     * hold (cut on `nn::Linear`, optionally behind a `Flatten`;
-     * pinned sample shape; additive policy performing a single add —
-     * multi-stage compositions stay on the general path so stage-wise
-     * rounding is preserved) and every request in the batch is fp32.
-     * Bit-exact with the general path by `gemm_rows_fused`'s
-     * contract, so the knob only exists for A/B measurement;
-     * `ServerStats::fp32_fused_batches` shows engagement.
-     */
-    bool fuse_fp32_noise = true;
-    /**
      * Token-bucket admission rate in requests/second; 0 disables.
      * Over-limit submits fail their own future with `kRateLimited`
      * (typed backpressure) — queued and in-flight work is never
@@ -224,8 +210,6 @@ struct ServerStats
     std::int64_t quantized_requests = 0;
     /** Batches served by the int8 direct-consume GEMM path. */
     std::int64_t int8_direct_batches = 0;
-    /** Batches served by the fused-noise fp32 GEMM path. */
-    std::int64_t fp32_fused_batches = 0;
     /** Submits rejected by the token-bucket rate limit. */
     std::int64_t rate_limited = 0;
     /** Submits rejected by the in-flight cap. */
@@ -458,23 +442,17 @@ class InferenceServer
                                 std::uint64_t request_id);
 
     /**
-     * Inspect the cloud half at construction: when the cut lands on
-     * `nn::Linear` (optionally behind a `Flatten`) and the policy is
-     * additive, arm the direct GEMM paths — the fused-noise fp32 path
-     * (`fp32_ready_`, single-add policies only) and, under
-     * `int8_compute`, the int8 snapshot (`int8_ready_`). Records
-     * where the tail forward resumes; leaves both flags false when
-     * the topology or policy disqualifies them.
+     * Inspect the cloud half at construction: under `int8_compute`,
+     * when the cut lands on `nn::Linear` (optionally behind a
+     * `Flatten`) and the policy is additive, snapshot the int8
+     * weights (`int8_ready_`) and record where the tail forward
+     * resumes; otherwise leave the flag false.
      */
-    void prepare_direct_path();
+    void prepare_int8_path();
 
     /** The int8 direct-consume batch body (see execute_batch). */
     Tensor forward_batch_int8(const std::vector<Request>& batch,
                               std::int64_t n);
-
-    /** The fused-noise fp32 batch body (see execute_batch). */
-    Tensor forward_batch_fp32_fused(const std::vector<Request>& batch,
-                                    std::int64_t n);
 
     /** Dispatcher loop: form batches, hand them to the pool. */
     void dispatch_loop();
@@ -495,15 +473,13 @@ class InferenceServer
     Shape sample_shape_;        ///< Per-sample activation shape.
     std::int64_t sample_size_;  ///< Elements per activation.
 
-    // Direct GEMM paths (prepare_direct_path; immutable after
-    // construction, so batch workers read them lock-free).
+    // The int8 direct path (prepare_int8_path; immutable after
+    // construction, so batch workers read it lock-free).
     bool int8_ready_ = false;
-    bool fp32_ready_ = false;          ///< Fused-noise fp32 path armed.
     std::int64_t tail_begin_ = 0;      ///< First layer after the GEMM.
     std::int64_t direct_out_features_ = 0;  ///< Linear's out width.
     S8Weights s8_weights_;
     const float* direct_bias_ = nullptr;  ///< Linear's bias (or null).
-    const float* f32_weights_ = nullptr;  ///< Linear's [out, in] data.
 
     std::unique_ptr<ThreadPool> owned_pool_;  ///< Null when shared.
     ThreadPool* pool_;  ///< Owned or `config.pool`; never null.

@@ -402,7 +402,6 @@ ServingEngine::stats() const
         aggregate.deadline_dispatches += s.deadline_dispatches;
         aggregate.quantized_requests += s.quantized_requests;
         aggregate.int8_direct_batches += s.int8_direct_batches;
-        aggregate.fp32_fused_batches += s.fp32_fused_batches;
         aggregate.rate_limited += s.rate_limited;
         aggregate.admission_rejected += s.admission_rejected;
         aggregate.in_flight += s.in_flight;

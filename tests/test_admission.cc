@@ -182,16 +182,21 @@ TEST(Admission, InFlightCapRejectsBeforeBurningTokens)
 
     // Wait for the in-flight gauge to settle (the decrement lands
     // just after the promise is fulfilled).
-    for (int spin = 0; spin < 2000 && server.stats().in_flight != 0;
-         ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_EQ(server.stats().in_flight, 0);
+    const auto settled_in_flight = [&server] {
+        for (int spin = 0;
+             spin < 2000 && server.stats().in_flight != 0; ++spin) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return server.stats().in_flight;
+    };
+    ASSERT_EQ(settled_in_flight(), 0);
 
     // The cap rejection did not burn a token: the second (and last)
     // token is still there, and only THEN does the bucket run dry.
     auto f3 = server.submit(fx.sample_activation(), 3);
     EXPECT_NO_THROW(f3.get());
+    // Settle again, else f4 can meet the cap before the bucket.
+    ASSERT_EQ(settled_in_flight(), 0);
     auto f4 = server.submit(fx.sample_activation(), 4);
     expect_code(f4, ServingErrorCode::kRateLimited);
     EXPECT_EQ(server.stats().rate_limited, 1);

@@ -239,6 +239,201 @@ TEST(NetServer, PipelinedRequestsAnswerInOrderWithIds)
     }
 }
 
+// -- Frame buffering and coalesced responses -----------------------------
+
+/** `count` valid frames with ids 0.. and the activations they carry. */
+struct Burst
+{
+    std::vector<Tensor> activations;
+    std::string bytes;  ///< Every frame, back to back.
+};
+
+Burst
+make_burst(Fixture& fx, std::uint64_t count)
+{
+    Burst burst;
+    for (std::uint64_t id = 0; id < count; ++id) {
+        net::Request request;
+        request.request_id = id;
+        request.endpoint = "lenet";
+        request.activation = fx.sample_activation();
+        burst.activations.push_back(request.activation);
+        burst.bytes += net::encode_request(request);
+    }
+    return burst;
+}
+
+/**
+ * Read `burst`'s answers off `socket`: every one kOk, in order, and
+ * bit-exact with the in-process engine. Then half-close and expect
+ * the server's clean close, after which its counters are final.
+ */
+void
+expect_burst_answered(Fixture& fx, net::Socket& socket,
+                      const Burst& burst)
+{
+    net::FrameReader frames(socket);
+    std::string payload;
+    for (std::uint64_t id = 0; id < burst.activations.size(); ++id) {
+        ASSERT_TRUE(frames.next(net::kResponseMagic, &payload)) << id;
+        const net::Response response =
+            net::decode_response_payload(payload);
+        ASSERT_EQ(response.status, net::WireStatus::kOk)
+            << response.message;
+        EXPECT_EQ(response.request_id, id);
+        const Tensor direct =
+            fx.engine->submit("lenet", burst.activations[id], id).get();
+        EXPECT_DOUBLE_EQ(ops::max_abs_diff(response.output, direct), 0.0)
+            << id;
+    }
+    socket.shutdown_send();
+    EXPECT_FALSE(frames.next(net::kResponseMagic, &payload));
+}
+
+TEST(NetServer, BurstInOneWriteIsAnsweredInOrderBitExact)
+{
+    Fixture fx;
+    const Burst burst = make_burst(fx, 64);
+    net::Socket socket = net::Socket::connect("127.0.0.1",
+                                              fx.server->port());
+    socket.send_all(burst.bytes.data(), burst.bytes.size());
+    expect_burst_answered(fx, socket, burst);
+    // The writer coalesces responses into fewer sends, but counts
+    // frames, not sends.
+    EXPECT_EQ(fx.server->stats().frames_served, 64);
+    EXPECT_EQ(fx.server->stats().protocol_errors, 0);
+}
+
+TEST(NetServer, BurstOneBytePerSendIsAnsweredTheSame)
+{
+    Fixture fx;
+    const Burst burst = make_burst(fx, 64);
+    net::Socket socket = net::Socket::connect("127.0.0.1",
+                                              fx.server->port());
+    // Every frame boundary, envelope byte and payload byte arrives in
+    // its own segment: the reader must reassemble across all of them.
+    for (const char byte : burst.bytes) {
+        socket.send_all(&byte, 1);
+    }
+    expect_burst_answered(fx, socket, burst);
+    EXPECT_EQ(fx.server->stats().frames_served, 64);
+}
+
+TEST(NetServer, ValidThenBadMagicInOneWriteAnswersBothThenCloses)
+{
+    Fixture fx;
+    const Tensor activation = fx.sample_activation();
+    net::Request request;
+    request.request_id = 5;
+    request.endpoint = "lenet";
+    request.activation = activation;
+    std::string bad = fx.valid_frame(6);
+    bad[0] = 'X';
+    const std::string bytes = net::encode_request(request) + bad;
+
+    net::Socket socket = net::Socket::connect("127.0.0.1",
+                                              fx.server->port());
+    socket.send_all(bytes.data(), bytes.size());
+    net::FrameReader frames(socket);
+    std::string payload;
+    ASSERT_TRUE(frames.next(net::kResponseMagic, &payload));
+    const net::Response ok = net::decode_response_payload(payload);
+    EXPECT_EQ(ok.status, net::WireStatus::kOk) << ok.message;
+    EXPECT_EQ(ok.request_id, 5u);
+    EXPECT_DOUBLE_EQ(
+        ops::max_abs_diff(ok.output,
+                          fx.engine->submit("lenet", activation, 5).get()),
+        0.0);
+    ASSERT_TRUE(frames.next(net::kResponseMagic, &payload));
+    const net::Response error = net::decode_response_payload(payload);
+    EXPECT_EQ(error.status, net::WireStatus::kProtocolError)
+        << error.message;
+    EXPECT_FALSE(frames.next(net::kResponseMagic, &payload));
+    EXPECT_EQ(fx.server->stats().protocol_errors, 1);
+    expect_still_serving(fx, 8);
+}
+
+/** A SHRQ envelope declaring `length` payload bytes. */
+std::string
+envelope_declaring(std::uint32_t length)
+{
+    std::string header(12, '\0');
+    const std::uint32_t fields[3] = {net::kRequestMagic, 1u, length};
+    std::memcpy(&header[0], fields, sizeof(fields));
+    return header;
+}
+
+TEST(NetServer, FrameLargerThanTheBufferThenDisconnectClosesCleanly)
+{
+    Fixture fx;
+    // Legal length (under kMaxFramePayload) but past the reader's
+    // initial buffer, so the buffer must grow; the client then leaves
+    // mid-payload.
+    const std::uint32_t length =
+        static_cast<std::uint32_t>(net::FrameReader::kInitialBuffer) * 2;
+    std::string bytes = envelope_declaring(length);
+    bytes += std::string(length / 2, '\x5A');
+
+    net::Socket socket = net::Socket::connect("127.0.0.1",
+                                              fx.server->port());
+    socket.send_all(bytes.data(), bytes.size());
+    socket.shutdown_send();
+    // A truncated frame is a transport failure, not a protocol error:
+    // no response (the link is gone), just the close.
+    net::FrameReader frames(socket);
+    std::string payload;
+    EXPECT_FALSE(frames.next(net::kResponseMagic, &payload));
+    EXPECT_EQ(fx.server->stats().protocol_errors, 0);
+    expect_still_serving(fx, 8);
+}
+
+TEST(NetFrameReader, MidFrameDisconnectAfterGrowthIsTypedNetwork)
+{
+    net::Listener listener("127.0.0.1", 0);
+    net::Socket client = net::Socket::connect("127.0.0.1", listener.port());
+    net::Socket server = listener.accept();
+
+    const std::uint32_t length =
+        static_cast<std::uint32_t>(net::FrameReader::kInitialBuffer) + 1;
+    std::string bytes = envelope_declaring(length);
+    bytes += std::string(length - 1, '\x5A');  // one byte short
+    client.send_all(bytes.data(), bytes.size());
+    client.close();
+
+    net::FrameReader frames(server);
+    std::string payload;
+    try {
+        frames.next(net::kRequestMagic, &payload);
+        ADD_FAILURE() << "expected kNetwork";
+    } catch (const ServingError& e) {
+        EXPECT_EQ(e.code(), ServingErrorCode::kNetwork) << e.what();
+        EXPECT_NE(std::string(e.what()).find("1 bytes still expected"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(NetFrameReader, OversizeLengthIsRejectedBeforeTheBufferGrows)
+{
+    net::Listener listener("127.0.0.1", 0);
+    net::Socket client = net::Socket::connect("127.0.0.1", listener.port());
+    net::Socket server = listener.accept();
+
+    // Only the envelope is sent: the reader must judge the length from
+    // it alone instead of waiting to buffer the claimed payload.
+    const std::string bytes = envelope_declaring(net::kMaxFramePayload + 1);
+    client.send_all(bytes.data(), bytes.size());
+
+    net::FrameReader frames(server);
+    std::string payload;
+    try {
+        frames.next(net::kRequestMagic, &payload);
+        ADD_FAILURE() << "expected kProtocol";
+    } catch (const ServingError& e) {
+        EXPECT_EQ(e.code(), ServingErrorCode::kProtocol) << e.what();
+    }
+}
+
 // -- Quantized wire path --------------------------------------------------
 
 TEST(NetServer, Int8WireMatchesInProcessQuantizedSubmit)
@@ -377,14 +572,14 @@ expect_protocol_error_response(Fixture& fx, const std::string& bytes)
     net::Socket socket = net::Socket::connect("127.0.0.1",
                                               fx.server->port());
     socket.send_all(bytes.data(), bytes.size());
+    net::FrameReader frames(socket);
     std::string payload;
-    ASSERT_TRUE(net::read_frame(socket, net::kResponseMagic, &payload));
+    ASSERT_TRUE(frames.next(net::kResponseMagic, &payload));
     const net::Response response = net::decode_response_payload(payload);
     EXPECT_EQ(response.status, net::WireStatus::kProtocolError)
         << response.message;
     // The server ends a connection it can no longer frame-align.
-    char byte;
-    EXPECT_EQ(socket.recv_some(&byte, 1), 0u);
+    EXPECT_FALSE(frames.next(net::kResponseMagic, &payload));
 }
 
 TEST(NetServer, BadMagicGetsTypedErrorAndServerSurvives)

@@ -1,6 +1,8 @@
 /** @file Unit tests for the runtime substrate (pool, logging). */
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,6 +76,53 @@ TEST(ParallelFor, ComputesCorrectSum)
     const double total =
         std::accumulate(parts.begin(), parts.end(), 0.0);
     EXPECT_DOUBLE_EQ(total, 999.0 * 1000.0 / 2.0);
+}
+
+/** One fan-out `parallel_for`, its completion state in this frame. */
+[[gnu::noinline]] void
+tiny_parallel_for(std::atomic<int>* sum)
+{
+    parallel_for(0, 4, [sum](std::int64_t i) {
+        sum->fetch_add(static_cast<int>(i), std::memory_order_relaxed);
+    });
+}
+
+/** Write over the stack that the previous call's frame occupied. */
+[[gnu::noinline]] void
+scribble_stack()
+{
+    volatile unsigned char junk[1024];
+    for (std::size_t i = 0; i < sizeof(junk); ++i) {
+        junk[i] = 0xA5;
+    }
+}
+
+TEST(ParallelFor, CallerFrameOutlivesEveryWorkerTouch)
+{
+    // The caller keeps its completion mutex and condition variable on
+    // its own stack. parallel_for must not return while the last
+    // worker can still touch them: if it does, the scribble below
+    // lands on a mutex a worker is about to lock, which aborts in
+    // glibc or shows as a race under TSan. More callers than cores
+    // get workers preempted inside that window.
+    const unsigned callers =
+        2 * std::max(2u, std::thread::hardware_concurrency());
+    constexpr int kCalls = 2000;
+    std::atomic<int> sum{0};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < callers; ++t) {
+        threads.emplace_back([&sum] {
+            for (int c = 0; c < kCalls; ++c) {
+                tiny_parallel_for(&sum);
+                scribble_stack();
+            }
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(sum.load(),
+              static_cast<int>(callers) * kCalls * (0 + 1 + 2 + 3));
 }
 
 TEST(Logging, LevelFilterRoundTrip)
