@@ -33,8 +33,11 @@ pool_output_shape(const Shape& in, const PoolConfig& cfg, const char* what)
 
 MaxPool2d::MaxPool2d(const PoolConfig& config) : config_(config)
 {
+    // padding < kernel keeps every window at least one element inside
+    // the plane, so forward never meets an empty window.
     SHREDDER_REQUIRE(config.kernel > 0 && config.stride > 0 &&
-                         config.padding >= 0,
+                         config.padding >= 0 &&
+                         config.padding < config.kernel,
                      "bad MaxPool2d config");
 }
 
@@ -60,47 +63,49 @@ MaxPool2d::forward(const Tensor& x, ExecutionContext& ctx,
     LayerState& state = ctx.state(this);
     std::vector<std::int64_t>& argmax = state.argmax;
     if (retain) {
-        argmax.assign(static_cast<std::size_t>(y.size()), -1);
+        argmax.resize(static_cast<std::size_t>(y.size()));
         state.in_shape = x.shape();
     }
 
+    const std::int64_t kernel = config_.kernel;
+    const std::int64_t stride = config_.stride;
+    const std::int64_t pad = config_.padding;
     const float* xp = x.data();
     float* yp = y.data();
     std::int64_t out_idx = 0;
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t c = 0; c < chans; ++c) {
-            const float* plane = xp + (n * chans + c) * ih * iw;
             const std::int64_t plane_base = (n * chans + c) * ih * iw;
+            const float* plane = xp + plane_base;
             for (std::int64_t i = 0; i < oh; ++i) {
+                // Clip the window to the plane once, so the scan below
+                // needs no bounds tests.
+                const std::int64_t r0 = i * stride - pad;
+                const std::int64_t r_lo = std::max<std::int64_t>(r0, 0);
+                const std::int64_t r_hi = std::min(r0 + kernel, ih);
                 for (std::int64_t j = 0; j < ow; ++j, ++out_idx) {
+                    const std::int64_t c0 = j * stride - pad;
+                    const std::int64_t c_lo = std::max<std::int64_t>(c0, 0);
+                    const std::int64_t c_hi = std::min(c0 + kernel, iw);
+                    // Row-major scan from −∞ with a strict `>`: the
+                    // first maximum wins ties. A window with no element
+                    // above −∞ (all NaN or all −∞) keeps its first
+                    // element, so non-finite input is pooled, not fatal.
                     float best = -std::numeric_limits<float>::infinity();
-                    std::int64_t best_idx = -1;
-                    for (std::int64_t ki = 0; ki < config_.kernel; ++ki) {
-                        const std::int64_t r =
-                            i * config_.stride - config_.padding + ki;
-                        if (r < 0 || r >= ih) {
-                            continue;
-                        }
-                        for (std::int64_t kj = 0; kj < config_.kernel;
-                             ++kj) {
-                            const std::int64_t col =
-                                j * config_.stride - config_.padding + kj;
-                            if (col < 0 || col >= iw) {
-                                continue;
-                            }
+                    std::int64_t best_off = r_lo * iw + c_lo;
+                    for (std::int64_t r = r_lo; r < r_hi; ++r) {
+                        for (std::int64_t col = c_lo; col < c_hi; ++col) {
                             const float v = plane[r * iw + col];
                             if (v > best) {
                                 best = v;
-                                best_idx = plane_base + r * iw + col;
+                                best_off = r * iw + col;
                             }
                         }
                     }
-                    SHREDDER_CHECK(best_idx >= 0,
-                                   "empty max-pool window");
-                    yp[out_idx] = best;
+                    yp[out_idx] = plane[best_off];
                     if (retain) {
                         argmax[static_cast<std::size_t>(out_idx)] =
-                            best_idx;
+                            plane_base + best_off;
                     }
                 }
             }
@@ -130,7 +135,8 @@ MaxPool2d::backward(const Tensor& grad_out, ExecutionContext& ctx)
 AvgPool2d::AvgPool2d(const PoolConfig& config) : config_(config)
 {
     SHREDDER_REQUIRE(config.kernel > 0 && config.stride > 0 &&
-                         config.padding >= 0,
+                         config.padding >= 0 &&
+                         config.padding < config.kernel,
                      "bad AvgPool2d config");
 }
 

@@ -52,6 +52,9 @@ constexpr std::int64_t kNc = 2048;  ///< n block: packed B block stays in LLC
 /** Problems below this flop-ish count skip packing entirely. */
 constexpr std::int64_t kSmallWork = 16 * 1024;
 
+/** Outputs `gemm_small` accumulates side by side (independent chains). */
+constexpr std::int64_t kSmallBlock = 4;
+
 /** Minimum m·n·k before row-panel threading pays for itself. */
 constexpr std::int64_t kParallelMinWork = 1 << 20;
 
@@ -246,15 +249,20 @@ kernel_choice()
 /**
  * Strided fallback for problems too small to amortize packing, and
  * for skinny shapes (m < kMr or n < kNr) where the zero-padded tile
- * would waste most of its flops. Picks saxpy (i-p-j) or dot (i-j-p)
- * order so the innermost loop is contiguous either way.
+ * would waste most of its flops. Picks saxpy or dot order so the
+ * innermost loop is contiguous either way, and never lets one output's
+ * chain of k dependent adds set the pace alone: the narrow saxpy and
+ * the dot orders keep kSmallBlock outputs in flight. Every c(i,j) sees
+ * the same operations in increasing p whichever order runs, so the
+ * choice changes no result bit.
  */
 void
 gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            const float* a, std::int64_t a_rs, std::int64_t a_cs,
            const float* b, std::int64_t b_rs, std::int64_t b_cs, float* c)
 {
-    if (b_cs == 1) {
+    if (b_cs == 1 && n >= kNrSse) {
+        // Wide op(B): i-p-j, vectorized along the row of C.
         for (std::int64_t i = 0; i < m; ++i) {
             float* crow = c + i * n;
             for (std::int64_t p = 0; p < k; ++p) {
@@ -267,22 +275,53 @@ gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         }
         return;
     }
-    for (std::int64_t i = 0; i < m; ++i) {
+    if (b_cs == 1) {
+        // Narrow op(B) (a batch-1 conv lowers to n = 1): run p outside a
+        // block of rows, each row keeping c += (alpha·a)·b in p order.
+        // A short last block recomputes its last row; only `rows` store.
         for (std::int64_t j = 0; j < n; ++j) {
-            const float* bcol = b + j * b_cs;
-            double acc = 0.0;
-            if (a_cs == 1 && b_rs == 1) {
-                const float* arow = a + i * a_rs;
-                for (std::int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(arow[p]) * bcol[p];
+            for (std::int64_t i0 = 0; i0 < m; i0 += kSmallBlock) {
+                const std::int64_t rows = std::min(kSmallBlock, m - i0);
+                const float* arow[kSmallBlock];
+                float acc[kSmallBlock];
+                for (std::int64_t r = 0; r < kSmallBlock; ++r) {
+                    const std::int64_t i = i0 + std::min(r, rows - 1);
+                    arow[r] = a + i * a_rs;
+                    acc[r] = c[i * n + j];
                 }
-            } else {
                 for (std::int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(a[i * a_rs + p * a_cs]) *
-                           bcol[p * b_rs];
+                    const float bv = b[p * b_rs + j];
+                    for (std::int64_t r = 0; r < kSmallBlock; ++r) {
+                        acc[r] += (alpha * arow[r][p * a_cs]) * bv;
+                    }
+                }
+                for (std::int64_t r = 0; r < rows; ++r) {
+                    c[(i0 + r) * n + j] = acc[r];
                 }
             }
-            c[i * n + j] += alpha * static_cast<float>(acc);
+        }
+        return;
+    }
+    // op(B) columns are strided (transposed B): dot order over a block of
+    // columns, each summed in its own double in p order. A short last
+    // block recomputes its last column; only `cols` store.
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j0 = 0; j0 < n; j0 += kSmallBlock) {
+            const std::int64_t cols = std::min(kSmallBlock, n - j0);
+            const float* bcol[kSmallBlock];
+            for (std::int64_t r = 0; r < kSmallBlock; ++r) {
+                bcol[r] = b + (j0 + std::min(r, cols - 1)) * b_cs;
+            }
+            double acc[kSmallBlock] = {};
+            for (std::int64_t p = 0; p < k; ++p) {
+                const double av = a[i * a_rs + p * a_cs];
+                for (std::int64_t r = 0; r < kSmallBlock; ++r) {
+                    acc[r] += av * bcol[r][p * b_rs];
+                }
+            }
+            for (std::int64_t r = 0; r < cols; ++r) {
+                c[i * n + j0 + r] += alpha * static_cast<float>(acc[r]);
+            }
         }
     }
 }

@@ -959,6 +959,54 @@ TEST(BundleTrustBoundary, HugeDeclaredTensorIsTypedNotOom)
     std::remove(path.c_str());
 }
 
+/** Overwrite the u64 pool padding in the config blob after `tag`. */
+std::string
+with_pool_padding(std::string bytes, const std::string& tag,
+                  std::uint64_t padding)
+{
+    const auto pos = bytes.find(tag);
+    EXPECT_NE(pos, std::string::npos) << tag;
+    // tag, then the config blob: length u32, kernel u64, stride u64,
+    // padding u64.
+    std::ostringstream patch(std::ios::binary);
+    wire::write_u64(patch, padding);
+    bytes.replace(pos + tag.size() + 4 + 16, patch.str().size(),
+                  patch.str());
+    return bytes;
+}
+
+TEST(BundleTrustBoundary, PoolPaddingAtOrAboveKernelIsTyped)
+{
+    // A pool whose padding reaches its kernel has windows wholly
+    // outside the plane. The load must refuse it as a typed bad bundle
+    // rather than serve a layer that fails on its first input.
+    Fixture f;
+    const std::string path =
+        f.save(deploy::PolicyKind::kReplay, 1, "pool_padding.shb");
+    const std::string bytes = slurp(path);
+    for (const std::uint64_t padding : {2u, 7u}) {  // LeNet pools: k = 2
+        spew(path, with_pool_padding(bytes, "maxpool2d", padding));
+        try {
+            (void)deploy::load_bundle(path);
+            ADD_FAILURE() << "expected kBadBundle for padding " << padding;
+        } catch (const ServingError& e) {
+            EXPECT_EQ(e.code(), ServingErrorCode::kBadBundle);
+            EXPECT_NE(std::string(e.what()).find("bad maxpool2d geometry"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
+
+    nn::Sequential net;
+    net.emplace<nn::AvgPool2d>(nn::PoolConfig{2, 2, 1});
+    std::ostringstream oss(std::ios::binary);
+    nn::save_arch(oss, net);
+    std::istringstream is(with_pool_padding(oss.str(), "avgpool2d", 2),
+                          std::ios::binary);
+    EXPECT_THROW(nn::load_arch(is), SerializeError);
+}
+
 TEST(BundleTrustBoundary, TrailingGarbageIsTyped)
 {
     Fixture f;

@@ -1,4 +1,6 @@
 /** @file Unit + property tests for the GEMM kernel. */
+#include <algorithm>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -256,6 +258,115 @@ TEST(Gemm, LargeBlockedKPath)
     for (std::size_t i = 0; i < c.size(); ++i) {
         EXPECT_NEAR(c[i], c_ref[i], 1e-3f);
     }
+}
+
+/**
+ * The small-problem kernel in its serial loop order — one output's
+ * chain at a time — as the bit-exact oracle for `gemm`'s blocked
+ * orders (strides as `gemm` computes them).
+ */
+void
+serial_gemm_small(std::int64_t m, std::int64_t n, std::int64_t k,
+                  float alpha, const float* a, std::int64_t a_rs,
+                  std::int64_t a_cs, const float* b, std::int64_t b_rs,
+                  std::int64_t b_cs, float* c)
+{
+    if (b_cs == 1) {
+        for (std::int64_t i = 0; i < m; ++i) {
+            float* crow = c + i * n;
+            for (std::int64_t p = 0; p < k; ++p) {
+                const float av = alpha * a[i * a_rs + p * a_cs];
+                const float* brow = b + p * b_rs;
+                for (std::int64_t j = 0; j < n; ++j) {
+                    crow[j] += av * brow[j];
+                }
+            }
+        }
+        return;
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            const float* bcol = b + j * b_cs;
+            double acc = 0.0;
+            if (a_cs == 1 && b_rs == 1) {
+                const float* arow = a + i * a_rs;
+                for (std::int64_t p = 0; p < k; ++p) {
+                    acc += static_cast<double>(arow[p]) * bcol[p];
+                }
+            } else {
+                for (std::int64_t p = 0; p < k; ++p) {
+                    acc += static_cast<double>(a[i * a_rs + p * a_cs]) *
+                           bcol[p * b_rs];
+                }
+            }
+            c[i * n + j] += alpha * static_cast<float>(acc);
+        }
+    }
+}
+
+TEST(Gemm, SmallPathBitExactWithSerialLoopOrder)
+{
+    // Every shape of this grid that `gemm` sends to its small-problem
+    // kernel (m < 6, n < 8, or m·n·k ≤ 16384; the rest are packed and
+    // skipped) must give the serial loop order's bits exactly: the
+    // reordering keeps each output's operation sequence. alpha = 0.7 is
+    // not a power of two, so a regrouped (alpha·a)·b would show.
+    const std::int64_t ms[] = {1, 2, 3, 4, 5, 6, 7, 120, 400};
+    const std::int64_t ns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 84};
+    const std::int64_t ks[] = {1, 25, 84, 120, 400};
+    Rng rng(2024);
+    int compared = 0;
+    for (const std::int64_t m : ms) {
+        for (const std::int64_t n : ns) {
+            for (const std::int64_t k : ks) {
+                if (!(m < 6 || n < 8 || m * n * k <= 16 * 1024)) {
+                    continue;
+                }
+                std::vector<float> a(static_cast<std::size_t>(m * k));
+                std::vector<float> b(static_cast<std::size_t>(k * n));
+                std::vector<float> c0(static_cast<std::size_t>(m * n));
+                for (auto& v : a) {
+                    v = rng.normal();
+                }
+                for (auto& v : b) {
+                    v = rng.normal();
+                }
+                for (auto& v : c0) {
+                    v = rng.normal();
+                }
+                for (const bool ta : {false, true}) {
+                    for (const bool tb : {false, true}) {
+                        for (const float alpha : {1.0f, 0.5f, 0.7f}) {
+                            for (const float beta : {0.0f, 1.0f}) {
+                                std::vector<float> c = c0;
+                                gemm(ta, tb, m, n, k, alpha, a.data(),
+                                     b.data(), beta, c.data());
+                                std::vector<float> want = c0;
+                                if (beta == 0.0f) {
+                                    std::fill(want.begin(), want.end(),
+                                              0.0f);
+                                }
+                                serial_gemm_small(
+                                    m, n, k, alpha, a.data(),
+                                    ta ? 1 : k, ta ? m : 1, b.data(),
+                                    tb ? 1 : n, tb ? k : 1, want.data());
+                                ASSERT_EQ(std::memcmp(c.data(), want.data(),
+                                                      c.size() *
+                                                          sizeof(float)),
+                                          0)
+                                    << m << "x" << n << "x" << k
+                                    << " ta=" << ta << " tb=" << tb
+                                    << " alpha=" << alpha
+                                    << " beta=" << beta;
+                                ++compared;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 1000);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 /** @file Gradient and behavior tests for every layer type. */
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +76,51 @@ TEST(ReLU, IndependentContextsDoNotInterfere)
     EXPECT_EQ(ga[1], 7.0f);
     EXPECT_EQ(gb[0], 11.0f);
     EXPECT_EQ(gb[1], 0.0f);  // xb[1] < 0
+}
+
+/** Bitwise tensor equality: NaN payloads and the sign of zero count. */
+void
+expect_same_bits(const Tensor& got, const Tensor& want, const char* what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.size()) *
+                              sizeof(float)),
+              0)
+        << what;
+}
+
+TEST(ReLU, BitExactOnSpecialValues)
+{
+    // The select must give the bits of the naive clamp `if (v < 0) v = 0`
+    // for signed zeros, NaN, infinities and denormals, and backward
+    // must mask exactly where that clamp's `v <= 0` mask does.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float den = std::numeric_limits<float>::denorm_min();
+    std::vector<float> values = {-0.0f, 0.0f,  nan,  -nan, inf,   -inf,
+                                 den,   -den,  1.0f, -1.0f, 3e38f, -3e38f,
+                                 1e-38f, -1e-38f};
+    Rng rng(5);
+    while (values.size() < 67) {  // odd length: a vector tail runs too
+        values.push_back(rng.normal());
+    }
+    const Tensor x = Tensor::from_vector(values);
+    Tensor want_y = x;
+    Tensor want_g = Tensor::normal(x.shape(), rng);
+    const Tensor g = want_g;
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+        if (want_y[i] < 0.0f) {
+            want_y[i] = 0.0f;
+        }
+        if (x[i] <= 0.0f) {
+            want_g[i] = 0.0f;
+        }
+    }
+    nn::ReLU relu;
+    ExecutionContext ctx;
+    expect_same_bits(relu.forward(x, ctx, Mode::kTrain), want_y, "forward");
+    expect_same_bits(relu.backward(g, ctx), want_g, "backward");
 }
 
 // ---------------------------------------------------------------------
@@ -299,6 +347,130 @@ TEST(MaxPool2d, NumericGradient)
     // Spread values so argmax is stable under the FD perturbation.
     Tensor x = Tensor::normal(Shape({1, 2, 4, 4}), rng, 0.0f, 5.0f);
     testing::check_layer_gradients(pool, x, rng, 1e-3f, 2e-2);
+}
+
+/**
+ * Reference max pool that bounds-tests every window element: −∞ start,
+ * strict `>`, row-major scan; a window with nothing above −∞ takes its
+ * first in-plane element. Fills `y` and the flat `argmax`.
+ */
+void
+naive_max_pool(const Tensor& x, const nn::PoolConfig& cfg, Tensor& y,
+               std::vector<std::int64_t>& argmax)
+{
+    const std::int64_t planes = x.shape()[0] * x.shape()[1];
+    const std::int64_t ih = x.shape()[2], iw = x.shape()[3];
+    const std::int64_t oh = y.shape()[2], ow = y.shape()[3];
+    argmax.assign(static_cast<std::size_t>(y.size()), -1);
+    std::int64_t out = 0;
+    for (std::int64_t pl = 0; pl < planes; ++pl) {
+        for (std::int64_t i = 0; i < oh; ++i) {
+            for (std::int64_t j = 0; j < ow; ++j, ++out) {
+                float best = -std::numeric_limits<float>::infinity();
+                std::int64_t best_idx = -1, first = -1;
+                for (std::int64_t ki = 0; ki < cfg.kernel; ++ki) {
+                    for (std::int64_t kj = 0; kj < cfg.kernel; ++kj) {
+                        const std::int64_t r =
+                            i * cfg.stride - cfg.padding + ki;
+                        const std::int64_t c =
+                            j * cfg.stride - cfg.padding + kj;
+                        if (r < 0 || r >= ih || c < 0 || c >= iw) {
+                            continue;
+                        }
+                        const std::int64_t idx = (pl * ih + r) * iw + c;
+                        if (first < 0) {
+                            first = idx;
+                        }
+                        if (x[idx] > best) {
+                            best = x[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                if (best_idx < 0) {
+                    best_idx = first;
+                }
+                ASSERT_GE(best_idx, 0) << "empty window";
+                y[out] = x[best_idx];
+                argmax[static_cast<std::size_t>(out)] = best_idx;
+            }
+        }
+    }
+}
+
+TEST(MaxPool2d, BitExactWithNaiveScanOverGeometryGrid)
+{
+    // Kernel × stride (≠ kernel included) × every legal padding × plane
+    // sizes, on inputs drawn from a few small integers (many ties) with
+    // NaN sprinkled into mixed windows, plus one all-NaN and one all-−∞
+    // plane. Values, argmax and so backward must match the naive scan
+    // bit for bit.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(31);
+    int cases = 0;
+    for (std::int64_t kernel = 1; kernel <= 4; ++kernel) {
+        for (std::int64_t stride : {1, 2, 3, 5}) {
+            for (std::int64_t pad = 0; pad < kernel; ++pad) {
+                for (std::int64_t h : {1, 2, 5, 8}) {
+                    for (std::int64_t w : {1, 3, 6, 7}) {
+                        const std::int64_t oh =
+                            (h + 2 * pad - kernel) / stride + 1;
+                        const std::int64_t ow =
+                            (w + 2 * pad - kernel) / stride + 1;
+                        if (oh <= 0 || ow <= 0) {
+                            continue;
+                        }
+                        Tensor x(Shape({2, 2, h, w}));
+                        const std::int64_t plane = h * w;
+                        for (std::int64_t e = 0; e < x.size(); ++e) {
+                            const std::int64_t which = e / plane;
+                            if (which == 1) {
+                                x[e] = nan;
+                            } else if (which == 2) {
+                                x[e] = -inf;
+                            } else if (rng.bernoulli(0.15)) {
+                                x[e] = nan;
+                            } else {
+                                x[e] = static_cast<float>(
+                                    rng.randint(-2, 2));
+                            }
+                        }
+                        const nn::PoolConfig cfg{kernel, stride, pad};
+                        nn::MaxPool2d pool(cfg);
+                        ExecutionContext ctx;
+                        const Tensor y = pool.forward(x, ctx, Mode::kTrain);
+                        Tensor want_y(Shape({2, 2, oh, ow}));
+                        std::vector<std::int64_t> argmax;
+                        naive_max_pool(x, cfg, want_y, argmax);
+                        SCOPED_TRACE(::testing::Message()
+                                     << "k=" << kernel << " s=" << stride
+                                     << " p=" << pad << " " << h << "x"
+                                     << w);
+                        expect_same_bits(y, want_y, "forward");
+
+                        const Tensor g = Tensor::normal(y.shape(), rng);
+                        Tensor want_g(x.shape());
+                        for (std::size_t o = 0; o < argmax.size(); ++o) {
+                            want_g[argmax[o]] +=
+                                g[static_cast<std::int64_t>(o)];
+                        }
+                        expect_same_bits(pool.backward(g, ctx), want_g,
+                                         "backward");
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 100);
+}
+
+TEST(MaxPool2d, PaddingMustBeBelowKernel)
+{
+    // padding ≥ kernel would let a window fall wholly outside the plane.
+    EXPECT_DEATH(nn::MaxPool2d(nn::PoolConfig{2, 2, 2}), "MaxPool2d");
+    EXPECT_DEATH(nn::AvgPool2d(nn::PoolConfig{3, 1, 3}), "AvgPool2d");
 }
 
 TEST(AvgPool2d, AveragesWindow)

@@ -11,6 +11,7 @@
  */
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,9 +47,14 @@ using runtime::ServingErrorCode;
  */
 struct Fixture
 {
-    explicit Fixture(std::uint64_t seed = 91)
+    /** Where the endpoint cuts LeNet: its last conv (default) or first. */
+    enum class Cut { kLastConv, kFirstConv };
+
+    explicit Fixture(std::uint64_t seed = 91, Cut at = Cut::kLastConv)
         : rng(seed), net(models::make_lenet(rng)),
-          cut(split::conv_cut_points(*net).back()), model(*net, cut),
+          cut(at == Cut::kFirstConv ? split::conv_cut_points(*net).front()
+                                    : split::conv_cut_points(*net).back()),
+          model(*net, cut),
           act_shape(model.activation_shape(Shape({1, 28, 28})))
     {
         for (int i = 0; i < 4; ++i) {
@@ -558,6 +564,27 @@ TEST(NetServer, WrongTensorShapeIsTypedAndConnectionSurvives)
     }
     const Tensor logits = client.infer("lenet", fx.sample_activation(), 2);
     EXPECT_GT(logits.size(), 0);
+}
+
+TEST(NetServer, AllNanActivationIsAnsweredAndConnectionSurvives)
+{
+    // At LeNet's first conv cut the cloud half starts with a max pool,
+    // so an all-NaN fp32 frame fills every pooling window with NaN.
+    // The server must answer it like any other frame and keep the
+    // connection: the next valid request is still bit-exact.
+    Fixture fx(91, Fixture::Cut::kFirstConv);
+    net::Client client("127.0.0.1", fx.server->port());
+    const Tensor nan_activation(fx.per_sample(),
+                                std::numeric_limits<float>::quiet_NaN());
+    const Tensor nan_logits = client.infer("lenet", nan_activation, 1);
+    EXPECT_EQ(nan_logits.shape().rank(), 1);
+    EXPECT_GT(nan_logits.size(), 0);
+
+    const Tensor activation = fx.sample_activation();
+    const Tensor wire = client.infer("lenet", activation, 2);
+    const Tensor direct = fx.engine->submit("lenet", activation, 2).get();
+    ASSERT_EQ(wire.shape().to_string(), direct.shape().to_string());
+    EXPECT_DOUBLE_EQ(ops::max_abs_diff(wire, direct), 0.0);
 }
 
 // -- Trust-boundary sweep: hostile byte streams ---------------------------

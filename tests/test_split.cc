@@ -1,4 +1,6 @@
 /** @file Tests for the split-execution substrate. */
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/models/zoo.h"
@@ -40,6 +42,34 @@ TEST(SplitModel, ActivationShapeMatchesExecution)
         split::SplitModel sm(*net, cut);
         const Tensor a = sm.edge_forward(x, ctx);
         EXPECT_EQ(sm.activation_shape(Shape({3, 32, 32})), a.shape());
+    }
+}
+
+TEST(SplitModel, NonFiniteActivationIsServedAtEveryCut)
+{
+    // Nothing between the wire decoder and cloud_forward rejects
+    // non-finite floats, so an all-NaN or all-±inf activation must come
+    // out as logits of the right shape at every conv cut of every zoo
+    // network — never abort, even where a max-pool window then holds
+    // nothing above −∞.
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const char* name : {"lenet", "cifar", "svhn", "alexnet"}) {
+        Rng rng(8);
+        auto net = models::make_network(name, rng);
+        const Shape input = models::input_shape_for(name);
+        const Shape batched_input({1, input[0], input[1], input[2]});
+        const Shape logits = net->output_shape(batched_input);
+        nn::ExecutionContext ctx;
+        for (std::int64_t cut : split::conv_cut_points(*net)) {
+            split::SplitModel sm(*net, cut);
+            const Shape act = sm.activation_shape(input);
+            for (const float v :
+                 {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+                const Tensor y = sm.cloud_forward(Tensor(act, v), ctx);
+                EXPECT_EQ(y.shape(), logits)
+                    << name << " cut " << cut << " value " << v;
+            }
+        }
     }
 }
 
