@@ -4,7 +4,9 @@
  */
 #include "src/core/noise_trainer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/data/dataloader.h"
 #include "src/info/snr.h"
@@ -15,6 +17,32 @@
 namespace shredder {
 namespace core {
 
+namespace {
+
+/**
+ * True when every edge layer computes each batch row from that row
+ * alone, with the same arithmetic whatever the batch: a memoized row
+ * then equals the row a fresh batched edge forward would give. These
+ * are the layers before every zoo network's conv cuts; any other layer
+ * turns the memo off.
+ */
+bool
+edge_acts_per_row(split::SplitModel& model)
+{
+    static const char* const kPerRow[] = {"conv2d", "relu", "maxpool2d",
+                                          "lrn"};
+    for (std::int64_t i = 0; i < model.cut(); ++i) {
+        const std::string kind = model.network().layer(i).kind();
+        if (std::none_of(std::begin(kPerRow), std::end(kPerRow),
+                         [&](const char* k) { return kind == k; })) {
+            return false;
+        }
+    }
+    return true;
+}
+
+}  // namespace
+
 NoiseTrainer::NoiseTrainer(split::SplitModel& model,
                            const data::Dataset& train_set,
                            const NoiseTrainConfig& config)
@@ -22,6 +50,8 @@ NoiseTrainer::NoiseTrainer(split::SplitModel& model,
 {
     SHREDDER_REQUIRE(config.iterations > 0, "trainer needs iterations > 0");
     SHREDDER_REQUIRE(config.batch_size > 0, "trainer needs batch size > 0");
+    SHREDDER_REQUIRE(train_set.size() > 0,
+                     "trainer needs a non-empty training set");
 }
 
 NoiseTrainResult
@@ -36,6 +66,13 @@ NoiseTrainer::train()
     // this loop caches activations here, so concurrent trainers (or a
     // live server) can share the frozen network untouched.
     nn::ExecutionContext ctx(config_.seed * 0x9E3779B97F4A7C15ULL + 1);
+    // L is never differentiated: its pass keeps no backward caches.
+    const auto edge_pass = [&](const Tensor& images) {
+        ctx.set_retain_activations(false);
+        Tensor a = model_.edge_forward(images, ctx, nn::Mode::kEval);
+        ctx.set_retain_activations(true);
+        return a;
+    };
 
     // Noise tensor shaped like one activation sample at the cut.
     Shape act_shape =
@@ -57,8 +94,7 @@ NoiseTrainer::train()
             config_.batch_size, train_set_.size());
         const data::Batch probe =
             data::materialize(train_set_, 0, probe_count);
-        const Tensor act =
-            model_.edge_forward(probe.images, ctx, nn::Mode::kEval);
+        const Tensor act = edge_pass(probe.images);
         const double rms = std::sqrt(act.mean_square());
         init.scale = static_cast<float>(init.scale * rms /
                                         std::sqrt(2.0));
@@ -75,6 +111,18 @@ NoiseTrainer::train()
     data::DataLoader loader(train_set_, config_.batch_size,
                             /*shuffle=*/true, rng);
 
+    // Edge memo (see header): one activation row per dataset index,
+    // empty until kept; at most `memo_rows_left` more rows are kept.
+    std::vector<Tensor> memo(static_cast<std::size_t>(train_set_.size()));
+    const auto kept = [&](std::int64_t idx) -> Tensor& {
+        return memo[static_cast<std::size_t>(idx)];
+    };
+    const auto is_kept = [&](std::int64_t idx) { return !kept(idx).empty(); };
+    const std::size_t row_bytes =
+        sizeof(float) * static_cast<std::size_t>(sample_shape.numel());
+    std::size_t memo_rows_left =
+        edge_acts_per_row(model_) ? edge_memo_bytes_ / row_bytes : 0;
+
     NoiseTrainResult result;
     double in_vivo = 0.0;
     double batch_acc = 0.0;
@@ -86,9 +134,29 @@ NoiseTrainer::train()
             SHREDDER_CHECK(batch.has_value(), "empty training set");
         }
 
-        // Edge forward (no gradients needed through L).
-        const Tensor activation =
-            model_.edge_forward(batch->images, ctx, nn::Mode::kEval);
+        // Edge activation: from the memo when every row is kept, else
+        // one batched forward through L whose new rows are kept.
+        const std::int64_t rows = batch->size();
+        Tensor activation;
+        if (std::all_of(batch->indices.begin(), batch->indices.end(),
+                        is_kept)) {
+            activation = Tensor(act_shape.with_dim(0, rows));
+            for (std::int64_t r = 0; r < rows; ++r) {
+                activation.set_slice0(
+                    r, kept(batch->indices[static_cast<std::size_t>(r)]));
+            }
+        } else {
+            activation = edge_pass(batch->images);
+            result.edge_passes += rows;
+            for (std::int64_t r = 0; r < rows && memo_rows_left > 0; ++r) {
+                Tensor& slot =
+                    kept(batch->indices[static_cast<std::size_t>(r)]);
+                if (slot.empty()) {
+                    slot = activation.slice0(r);
+                    --memo_rows_left;
+                }
+            }
+        }
         const Tensor noisy = noise.apply(activation);
 
         // Cloud forward + loss.

@@ -7,10 +7,34 @@
  * the cross-entropy loss back through the remote part R to the noise
  * (∂(a+n)/∂n = 1), plus the privacy term's direct contribution. Adam
  * is the optimizer, as in the paper.
+ *
+ * Edge memo. L is frozen and runs in eval mode, so a training sample
+ * has the same activation on every visit. One `train()` call keeps
+ * each sample's activation row, keyed by its dataset index, and
+ * assembles a batch whose rows are all kept from those rows instead of
+ * running L again. A batch with any row not kept runs the batched edge
+ * forward as usual and keeps its new rows. The memo holds at most
+ * `kEdgeMemoBytes`; samples past that budget run through L on every
+ * visit. It is used only when every edge layer acts on each batch row
+ * alone (convolution, ReLU, max pooling, LRN: the layers before every
+ * zoo network's conv cuts): those rows do not depend on which batch
+ * computed them, so the learned noise is bit-identical to running L
+ * every step. Any other edge, e.g. one with a `Linear` layer (whose
+ * GEMM path depends on the batch size), runs L every step.
+ * `NoiseTrainResult::edge_passes` counts the samples that went through
+ * L inside the loop.
+ *
+ * Read contract. The memo skips only the edge forward, never the data:
+ * `train()` calls `Dataset::get` exactly once per sample of every
+ * mini-batch, in loader order, after a calibration probe of
+ * `min(batch_size, size())` samples (indices 0, 1, …) when
+ * `init_scale_relative` is set. Callers that time or audit the reads
+ * (a wrapping `Dataset`) can rely on that count and order.
  */
 #ifndef SHREDDER_CORE_NOISE_TRAINER_H
 #define SHREDDER_CORE_NOISE_TRAINER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +47,9 @@
 
 namespace shredder {
 namespace core {
+
+/** Bytes of edge activations one `train()` call may memoize. */
+inline constexpr std::size_t kEdgeMemoBytes = std::size_t{256} << 20;
 
 /** Knobs for one noise-training run. */
 struct NoiseTrainConfig
@@ -70,6 +97,8 @@ struct NoiseTrainResult
     double epochs = 0.0;           ///< Training cost in dataset epochs.
     double final_in_vivo = 0.0;
     double final_batch_accuracy = 0.0;
+    /** Samples run through the edge L inside the loop (see file comment). */
+    std::int64_t edge_passes = 0;
 };
 
 /** See file comment. */
@@ -88,9 +117,13 @@ class NoiseTrainer
     NoiseTrainResult train();
 
   private:
+    // Lets tests shrink the memo budget to reach its over-budget path.
+    friend struct NoiseTrainerTestPeer;
+
     split::SplitModel& model_;
     const data::Dataset& train_set_;
     NoiseTrainConfig config_;
+    std::size_t edge_memo_bytes_ = kEdgeMemoBytes;
 };
 
 }  // namespace core

@@ -83,7 +83,9 @@ PrivacyMeter::measure_impl(const runtime::NoisePolicy& policy)
     Tensor transmitted(Shape({mi_total, da}));
 
     // Per-measurement context: the meter never touches model state.
+    // It runs forward-only, so layers keep no backward caches.
     nn::ExecutionContext ctx(config_.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+    ctx.set_retain_activations(false);
     double correct_weighted = 0.0;
     std::int64_t acc_counted = 0;
     double signal_acc = 0.0, noise_var_acc = 0.0;

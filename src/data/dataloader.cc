@@ -51,12 +51,14 @@ DataLoader::next()
     Batch batch;
     batch.images = Tensor(Shape({count, img[0], img[1], img[2]}));
     batch.labels.resize(static_cast<std::size_t>(count));
+    batch.indices.resize(static_cast<std::size_t>(count));
     for (std::int64_t i = 0; i < count; ++i) {
         const std::int64_t idx =
             order_[static_cast<std::size_t>(cursor_ + i)];
         Sample s = dataset_.get(idx);
         batch.images.set_slice0(i, s.image);
         batch.labels[static_cast<std::size_t>(i)] = s.label;
+        batch.indices[static_cast<std::size_t>(i)] = idx;
     }
     cursor_ += count;
     return batch;

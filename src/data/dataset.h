@@ -33,6 +33,8 @@ struct Batch
 {
     Tensor images;  ///< NCHW.
     std::vector<std::int64_t> labels;
+    /** Dataset index of each row, in row order. */
+    std::vector<std::int64_t> indices;
 
     std::int64_t size() const
     {

@@ -1,7 +1,11 @@
 /** @file Tests for the Shredder core (the paper's contribution). */
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -9,11 +13,36 @@
 #include "src/core/noise_collection.h"
 #include "src/core/noise_distribution.h"
 #include "src/core/noise_tensor.h"
+#include "src/core/noise_trainer.h"
 #include "src/core/shredder_loss.h"
+#include "src/data/dataloader.h"
+#include "src/data/digits.h"
+#include "src/data/textures.h"
+#include "src/info/snr.h"
+#include "src/models/zoo.h"
+#include "src/nn/loss.h"
+#include "src/nn/optimizer.h"
+#include "src/runtime/logging.h"
+#include "src/split/split_model.h"
 #include "src/tensor/ops.h"
 #include "tests/test_util.h"
 
 namespace shredder {
+namespace core {
+
+/** Reaches the trainer's edge-memo budget, which has no public knob. */
+struct NoiseTrainerTestPeer
+{
+    static NoiseTrainResult
+    train_with_memo_bytes(NoiseTrainer& trainer, std::size_t bytes)
+    {
+        trainer.edge_memo_bytes_ = bytes;
+        return trainer.train();
+    }
+};
+
+}  // namespace core
+
 namespace {
 
 using core::LambdaController;
@@ -357,6 +386,436 @@ TEST(NoiseDistribution, FitOnEmptyCollectionIsFatal)
     NoiseCollection col;
     EXPECT_EXIT(core::NoiseDistribution::fit(col),
                 ::testing::ExitedWithCode(1), "empty");
+}
+
+// ---------------------------------------------------------------------
+// NoiseTrainer: edge memo, read contract, input checks
+// ---------------------------------------------------------------------
+
+using core::NoiseTrainConfig;
+using core::NoiseTrainer;
+using core::NoiseTrainerTestPeer;
+using core::NoiseTrainResult;
+
+/**
+ * The noise-learning loop without the edge memo, kept verbatim as the
+ * reference: L runs on every step. `NoiseTrainer::train` must
+ * reproduce it bit for bit.
+ */
+NoiseTrainResult
+reference_train(split::SplitModel& model_, const data::Dataset& train_set_,
+                const NoiseTrainConfig& config_)
+{
+    using namespace core;
+    // Freeze every network weight: Shredder never retrains the model.
+    for (nn::Parameter* p : model_.network().parameters()) {
+        p->frozen = true;
+    }
+
+    // The run's private execution context: every edge/cloud pass of
+    // this loop caches activations here, so concurrent trainers (or a
+    // live server) can share the frozen network untouched.
+    nn::ExecutionContext ctx(config_.seed * 0x9E3779B97F4A7C15ULL + 1);
+
+    // Noise tensor shaped like one activation sample at the cut.
+    Shape act_shape =
+        model_.activation_shape(train_set_.image_shape());
+    Shape sample_shape;
+    switch (act_shape.rank()) {
+      case 2: sample_shape = Shape({act_shape[1]}); break;
+      case 4:
+        sample_shape = Shape({act_shape[1], act_shape[2], act_shape[3]});
+        break;
+      default:
+        SHREDDER_FATAL("unsupported activation rank ", act_shape.rank());
+    }
+    NoiseInit init = config_.init;
+    init.seed = config_.seed * 1315423911ULL + 17;
+    if (config_.init_scale_relative) {
+        // Calibrate against the activation RMS of a probe batch.
+        const std::int64_t probe_count = std::min<std::int64_t>(
+            config_.batch_size, train_set_.size());
+        const data::Batch probe =
+            data::materialize(train_set_, 0, probe_count);
+        const Tensor act =
+            model_.edge_forward(probe.images, ctx, nn::Mode::kEval);
+        const double rms = std::sqrt(act.mean_square());
+        init.scale = static_cast<float>(init.scale * rms /
+                                        std::sqrt(2.0));
+        SHREDDER_REQUIRE(init.scale > 0.0f,
+                         "degenerate activation RMS at the cut");
+    }
+    NoiseTensor noise(sample_shape, init);
+
+    nn::Adam optimizer({&noise.param()}, config_.learning_rate);
+    ShredderLoss loss(config_.term, config_.lambda.initial_lambda);
+    LambdaController lambda_ctrl(config_.lambda);
+
+    Rng rng(config_.seed);
+    data::DataLoader loader(train_set_, config_.batch_size,
+                            /*shuffle=*/true, rng);
+
+    NoiseTrainResult result;
+    double in_vivo = 0.0;
+    double batch_acc = 0.0;
+    for (int it = 0; it < config_.iterations; ++it) {
+        auto batch = loader.next();
+        if (!batch) {
+            loader.reset();
+            batch = loader.next();
+            SHREDDER_CHECK(batch.has_value(), "empty training set");
+        }
+
+        // Edge forward (no gradients needed through L).
+        const Tensor activation =
+            model_.edge_forward(batch->images, ctx, nn::Mode::kEval);
+        const Tensor noisy = noise.apply(activation);
+
+        // Cloud forward + loss.
+        const Tensor logits =
+            model_.cloud_forward(noisy, ctx, nn::Mode::kEval);
+        const ShredderLossValue lv =
+            loss.compute(logits, batch->labels, noise.value());
+
+        // Backward through R only; then the privacy term.
+        optimizer.zero_grad();
+        const Tensor grad_at_cut =
+            model_.cloud_backward(lv.logits_grad, ctx);
+        noise.accumulate_grad(grad_at_cut);
+        loss.add_privacy_grad(noise.value(), noise.param().grad);
+        optimizer.step();
+
+        // In-vivo privacy on this batch; drive the λ schedule with it.
+        in_vivo = info::in_vivo_privacy(activation, noise.value());
+        loss.set_lambda(lambda_ctrl.observe(in_vivo));
+        batch_acc = nn::accuracy(logits, batch->labels);
+
+        if (config_.trace_every > 0 &&
+            (it % config_.trace_every == 0 ||
+             it == config_.iterations - 1)) {
+            TracePoint tp;
+            tp.iteration = it;
+            tp.in_vivo_privacy = in_vivo;
+            tp.batch_accuracy = batch_acc;
+            tp.cross_entropy = lv.cross_entropy;
+            tp.lambda = loss.lambda();
+            result.trace.push_back(tp);
+            if (config_.verbose) {
+                inform("noise it ", it, ": 1/SNR=", in_vivo,
+                       " acc=", tp.batch_accuracy, " ce=",
+                       tp.cross_entropy, " lambda=", tp.lambda);
+            }
+        }
+    }
+
+    result.noise = noise.value();
+    result.epochs = static_cast<double>(config_.iterations) *
+                    static_cast<double>(config_.batch_size) /
+                    static_cast<double>(train_set_.size());
+    result.final_in_vivo = in_vivo;
+    result.final_batch_accuracy = batch_acc;
+    return result;
+}
+
+/** Bit equality (NaN-safe, unlike `==`). */
+bool
+same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Train with the memo (at `memo_bytes`) and with the reference loop,
+ * and expect bit-identical noise, trace and final statistics.
+ */
+NoiseTrainResult
+train_matching_reference(split::SplitModel& model, const data::Dataset& ds,
+                         const NoiseTrainConfig& cfg,
+                         std::size_t memo_bytes = core::kEdgeMemoBytes)
+{
+    const NoiseTrainResult want = reference_train(model, ds, cfg);
+    NoiseTrainer trainer(model, ds, cfg);
+    NoiseTrainResult got =
+        NoiseTrainerTestPeer::train_with_memo_bytes(trainer, memo_bytes);
+    if (got.noise.shape() != want.noise.shape()) {
+        ADD_FAILURE() << "noise shape " << got.noise.shape().to_string()
+                      << " vs " << want.noise.shape().to_string();
+        return got;
+    }
+    EXPECT_EQ(std::memcmp(got.noise.data(), want.noise.data(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(want.noise.size())),
+              0)
+        << "learned noise differs from the reference loop";
+    EXPECT_EQ(got.trace.size(), want.trace.size());
+    for (std::size_t i = 0;
+         i < std::min(got.trace.size(), want.trace.size()); ++i) {
+        const core::TracePoint& g = got.trace[i];
+        const core::TracePoint& w = want.trace[i];
+        EXPECT_EQ(g.iteration, w.iteration) << "trace point " << i;
+        EXPECT_TRUE(same_bits(g.in_vivo_privacy, w.in_vivo_privacy))
+            << "trace point " << i;
+        EXPECT_TRUE(same_bits(g.batch_accuracy, w.batch_accuracy))
+            << "trace point " << i;
+        EXPECT_TRUE(same_bits(g.cross_entropy, w.cross_entropy))
+            << "trace point " << i;
+        EXPECT_TRUE(same_bits(g.lambda, w.lambda)) << "trace point " << i;
+    }
+    EXPECT_TRUE(same_bits(got.epochs, want.epochs));
+    EXPECT_TRUE(same_bits(got.final_in_vivo, want.final_in_vivo));
+    EXPECT_TRUE(
+        same_bits(got.final_batch_accuracy, want.final_batch_accuracy));
+    return got;
+}
+
+/** What the training loop's mini-batches visit, replayed. */
+struct Visits
+{
+    std::vector<std::int64_t> order;  ///< Every row, in loader order.
+    std::int64_t distinct = 0;        ///< Distinct samples among them.
+
+    std::int64_t rows() const
+    {
+        return static_cast<std::int64_t>(order.size());
+    }
+};
+
+Visits
+loader_visits(const data::Dataset& ds, const NoiseTrainConfig& cfg)
+{
+    Rng rng(cfg.seed);
+    data::DataLoader loader(ds, cfg.batch_size, /*shuffle=*/true, rng);
+    Visits v;
+    for (int it = 0; it < cfg.iterations; ++it) {
+        auto batch = loader.next();
+        if (!batch) {
+            loader.reset();
+            batch = loader.next();
+        }
+        v.order.insert(v.order.end(), batch->indices.begin(),
+                       batch->indices.end());
+    }
+    v.distinct = static_cast<std::int64_t>(
+        std::set<std::int64_t>(v.order.begin(), v.order.end()).size());
+    return v;
+}
+
+/** A small recipe that visits each sample several times. */
+NoiseTrainConfig
+pin_recipe(std::int64_t batch, int iterations, bool relative)
+{
+    NoiseTrainConfig cfg;
+    cfg.batch_size = batch;
+    cfg.iterations = iterations;
+    cfg.init.scale = relative ? 1.5f : 0.5f;
+    cfg.init_scale_relative = relative;
+    cfg.lambda.initial_lambda = 1e-2f;
+    cfg.lambda.privacy_target = 0.5;
+    cfg.lambda.patience = 2;
+    cfg.trace_every = 1;
+    cfg.seed = 9000 + static_cast<std::uint64_t>(batch * 31 + iterations);
+    return cfg;
+}
+
+data::DigitsDataset
+pin_digits()
+{
+    data::DigitsConfig c;
+    c.count = 37;  // not a multiple of 16: every epoch ends partial
+    c.seed = 77;
+    return data::DigitsDataset(c);
+}
+
+TEST(NoiseTrainer, EdgeMemoIsBitExactAtEveryLenetCut)
+{
+    Rng rng(21);
+    auto net = models::make_lenet(rng);
+    const data::DigitsDataset ds = pin_digits();
+    const auto conv_cuts = split::conv_cut_points(*net);
+    ASSERT_EQ(conv_cuts.size(), 3u);
+    // One more cut, past the first Linear: its GEMM path depends on
+    // the batch size, so that edge keeps nothing and runs every step.
+    std::vector<std::int64_t> cuts = conv_cuts;
+    for (std::int64_t i = 0; i < net->size(); ++i) {
+        if (net->layer(i).kind() == "linear") {
+            cuts.push_back(i + 1);
+            break;
+        }
+    }
+    ASSERT_EQ(cuts.size(), 4u);
+    for (const std::int64_t cut : cuts) {
+        split::SplitModel model(*net, cut);
+        const bool memoized = cut != cuts.back();
+        // Batch 16: 3 batches per epoch (16, 16, 5), ~3.5 epochs.
+        // Batch 1: ~2.4 epochs, with the calibration probe.
+        for (const auto& [batch, iterations, relative] :
+             {std::tuple<std::int64_t, int, bool>{16, 10, false},
+              std::tuple<std::int64_t, int, bool>{1, 90, true}}) {
+            SCOPED_TRACE("cut " + std::to_string(cut) + " batch " +
+                         std::to_string(batch));
+            const NoiseTrainConfig cfg =
+                pin_recipe(batch, iterations, relative);
+            const NoiseTrainResult r =
+                train_matching_reference(model, ds, cfg);
+            const Visits v = loader_visits(ds, cfg);
+            // Memoized: L ran once per sample, every later visit hit.
+            EXPECT_EQ(r.edge_passes, memoized ? v.distinct : v.rows());
+            if (memoized) {
+                EXPECT_EQ(r.edge_passes, ds.size());
+            }
+        }
+    }
+}
+
+TEST(NoiseTrainer, EdgeMemoIsBitExactThroughAlexnetLrn)
+{
+    // The first cut's edge is conv1 + ReLU; the second adds LRN,
+    // overlapping max-pool and conv2 (rank-4, 32×32×32 and 64×15×15).
+    Rng rng(22);
+    auto net = models::make_alexnet(rng);
+    data::TexturesConfig tc;
+    tc.count = 7;
+    tc.seed = 78;
+    const data::TexturesDataset ds(tc);
+    const auto cuts = split::conv_cut_points(*net);
+    for (const std::int64_t cut : {cuts[0], cuts[1]}) {
+        SCOPED_TRACE("cut " + std::to_string(cut));
+        split::SplitModel model(*net, cut);
+        const NoiseTrainConfig cfg = pin_recipe(3, 6, true);
+        const NoiseTrainResult r = train_matching_reference(model, ds, cfg);
+        EXPECT_EQ(r.edge_passes, loader_visits(ds, cfg).distinct);
+    }
+}
+
+TEST(NoiseTrainer, EdgeMemoOverBudgetRecomputesAndStaysBitExact)
+{
+    Rng rng(23);
+    auto net = models::make_lenet(rng);
+    const data::DigitsDataset ds = pin_digits();
+    split::SplitModel model(*net, split::conv_cut_points(*net).front());
+    const std::size_t row_bytes =
+        sizeof(float) *
+        static_cast<std::size_t>(
+            model.activation_shape(ds.image_shape()).numel());
+
+    // No budget: L runs for every row of every step, as without a memo.
+    {
+        const NoiseTrainConfig cfg = pin_recipe(16, 10, false);
+        const NoiseTrainResult r =
+            train_matching_reference(model, ds, cfg, 0);
+        EXPECT_EQ(r.edge_passes, loader_visits(ds, cfg).rows());
+    }
+    // Room for 5 rows at batch 1: those 5 hit, the other 32 samples
+    // run through L on every visit.
+    {
+        const NoiseTrainConfig cfg = pin_recipe(1, 90, true);
+        const Visits v = loader_visits(ds, cfg);
+        const NoiseTrainResult r =
+            train_matching_reference(model, ds, cfg, 5 * row_bytes);
+        EXPECT_GT(r.edge_passes, v.distinct);
+        EXPECT_LT(r.edge_passes, v.rows());
+    }
+    // Room for 30 rows at batch 4: the budget runs out inside a
+    // batch, and later batches mixing kept and unkept rows run
+    // through L while all-kept ones hit.
+    {
+        const NoiseTrainConfig cfg = pin_recipe(4, 40, false);
+        const Visits v = loader_visits(ds, cfg);
+        const NoiseTrainResult r =
+            train_matching_reference(model, ds, cfg, 30 * row_bytes + 1);
+        EXPECT_GT(r.edge_passes, v.distinct);
+        EXPECT_LT(r.edge_passes, v.rows());
+    }
+}
+
+/** Delegates to a dataset and records every `get`, in call order. */
+class RecordingDataset : public data::Dataset
+{
+  public:
+    explicit RecordingDataset(const data::Dataset& inner) : inner_(inner) {}
+
+    std::int64_t size() const override { return inner_.size(); }
+    data::Sample
+    get(std::int64_t idx) const override
+    {
+        reads_.push_back(idx);
+        return inner_.get(idx);
+    }
+    Shape image_shape() const override { return inner_.image_shape(); }
+    std::int64_t num_classes() const override
+    {
+        return inner_.num_classes();
+    }
+    std::string name() const override { return inner_.name(); }
+
+    const std::vector<std::int64_t>& reads() const { return reads_; }
+
+  private:
+    const data::Dataset& inner_;
+    mutable std::vector<std::int64_t> reads_;
+};
+
+TEST(NoiseTrainer, ReadsProbeThenEveryBatchSampleInLoaderOrder)
+{
+    // A memo hit skips L, never the read: `get` runs once per row of
+    // every mini-batch, after the calibration probe (indices 0..b-1).
+    Rng rng(25);
+    auto net = models::make_lenet(rng);
+    split::SplitModel model(*net, split::conv_cut_points(*net).back());
+    data::DigitsConfig c;
+    c.count = 20;
+    c.seed = 79;
+    const data::DigitsDataset inner(c);
+    for (const bool relative : {false, true}) {
+        SCOPED_TRACE(relative ? "relative init" : "absolute init");
+        const NoiseTrainConfig cfg = pin_recipe(4, 13, relative);
+        RecordingDataset recorded(inner);
+        NoiseTrainer(model, recorded, cfg).train();
+
+        std::vector<std::int64_t> expect;
+        if (relative) {
+            for (std::int64_t i = 0; i < cfg.batch_size; ++i) {
+                expect.push_back(i);
+            }
+        }
+        const Visits v = loader_visits(inner, cfg);
+        expect.insert(expect.end(), v.order.begin(), v.order.end());
+        const std::size_t probe = relative ? 4 : 0;
+        EXPECT_EQ(recorded.reads().size(),
+                  probe + static_cast<std::size_t>(cfg.iterations) * 4);
+        EXPECT_EQ(recorded.reads(), expect);
+    }
+}
+
+/** A dataset with no samples. */
+class EmptyDataset : public data::Dataset
+{
+  public:
+    std::int64_t size() const override { return 0; }
+    data::Sample
+    get(std::int64_t idx) const override
+    {
+        SHREDDER_FATAL("get(", idx, ") on an empty dataset");
+    }
+    Shape image_shape() const override { return Shape({1, 28, 28}); }
+    std::int64_t num_classes() const override { return 10; }
+    std::string name() const override { return "empty"; }
+};
+
+TEST(NoiseTrainerDeathTest, EmptyTrainingSetIsAUserError)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rng rng(26);
+    auto net = models::make_lenet(rng);
+    split::SplitModel model(*net, split::conv_cut_points(*net).back());
+    const EmptyDataset empty;
+    for (const bool relative : {false, true}) {
+        NoiseTrainConfig cfg;
+        cfg.init_scale_relative = relative;
+        EXPECT_EXIT(NoiseTrainer(model, empty, cfg).train(),
+                    ::testing::ExitedWithCode(1),
+                    "requirement failed.*non-empty training set");
+    }
 }
 
 }  // namespace

@@ -183,6 +183,7 @@ TEST(Materialize, PacksBatch)
     EXPECT_DOUBLE_EQ(
         ops::max_abs_diff(b.images.slice0(1), s.image), 0.0);
     EXPECT_EQ(b.labels[1], s.label);
+    EXPECT_EQ(b.indices, (std::vector<std::int64_t>{5, 6, 7, 8}));
 }
 
 TEST(DataLoader, CoversEpochExactlyOnce)
@@ -195,14 +196,23 @@ TEST(DataLoader, CoversEpochExactlyOnce)
     EXPECT_EQ(loader.batches_per_epoch(), 4);  // 8+8+8+1
 
     std::int64_t total = 0;
-    std::multiset<std::int64_t> labels;
+    std::multiset<std::int64_t> indices;
     while (auto b = loader.next()) {
         total += b->size();
-        for (auto l : b->labels) {
-            labels.insert(l);
+        ASSERT_EQ(b->indices.size(), b->labels.size());
+        for (std::size_t i = 0; i < b->indices.size(); ++i) {
+            // Each row is the sample its index names.
+            EXPECT_EQ(b->labels[i], ds.get(b->indices[i]).label);
+            indices.insert(b->indices[i]);
         }
     }
     EXPECT_EQ(total, 25);
+    // Every index exactly once.
+    std::multiset<std::int64_t> all;
+    for (std::int64_t i = 0; i < 25; ++i) {
+        all.insert(i);
+    }
+    EXPECT_EQ(indices, all);
     EXPECT_FALSE(loader.next().has_value());
 }
 
