@@ -1,7 +1,14 @@
 /**
  * @file
- * Implementation of `Conv2d`: im2col lowering into the packed GEMM, with
- * per-thread scratch buffers.
+ * Implementation of `Conv2d`.
+ *
+ * Forward runs each batch item on its own, so a row's output never
+ * depends on the batch around it. A stride-1 layer that the packed GEMM
+ * would run as one k block of the AVX2+FMA micro-kernel takes
+ * `conv2d_direct` (zero-padded planes, one contiguous saxpy per tap,
+ * bit-identical to the lowering); every other layer, and backward,
+ * lowers through im2col/col2im into the packed GEMM. Scratch comes from
+ * per-thread arenas.
  */
 #include "src/nn/conv2d.h"
 
@@ -89,8 +96,17 @@ Conv2d::forward(const Tensor& x, ExecutionContext& ctx, Mode /*mode*/) const
     const float* xp = x.data();
     float* yp = y.data();
     const float* wp = weight_.value.data();
+    const bool direct = conv2d_direct_applies(
+        in_c, out_c, config_.kernel, config_.stride, out_h, out_w);
 
     parallel_for(0, batch, [&](std::int64_t n) {
+        if (direct) {
+            conv2d_direct(xp + n * in_c * in_h * in_w, in_c, in_h, in_w,
+                          config_.kernel, config_.padding, wp, out_c,
+                          config_.bias ? bias_.value.data() : nullptr,
+                          yp + n * out_c * col_cols);
+            return;
+        }
         // Per-thread scratch (not the context's arena): these chunks
         // run on pool workers, each of which owns a private arena.
         ScratchLease col = ScratchArena::for_this_thread().acquire(

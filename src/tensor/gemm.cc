@@ -24,6 +24,11 @@
  * FMA) chosen when the CPU supports it — so the default build, with
  * no -march flags, still runs wide on modern x86. See
  * docs/PERFORMANCE.md for the derivation and measured numbers.
+ *
+ * The AVX2 choice also carries `conv2d_direct`'s kernel: a stride-1
+ * convolution over zero-padded planes that adds the same taps in the
+ * same order with the same FMA as the micro-kernel over im2col columns,
+ * so it replaces that lowering without changing a bit.
  */
 #include "src/tensor/gemm.h"
 
@@ -221,11 +226,89 @@ micro_kernel_avx2(std::int64_t kc, const float* ap, const float* bp,
 }
 #endif
 
-/** Runtime-selected micro-kernel and its panel width. */
+/** Wide outputs one direct-convolution register tile covers (4 YMM). */
+constexpr std::int64_t kDirectCols = 32;
+
+using DirectConvFn = void (*)(const float* plane, std::int64_t in_c,
+                              std::int64_t plane_size, std::int64_t wp,
+                              std::int64_t kernel, const float* w,
+                              std::int64_t out_c, std::int64_t wide,
+                              float* out);
+
+#if defined(__x86_64__) || defined(__i386__)
+/**
+ * Step 2 of `conv2d_direct`: out[oc][j] = Σ_t w[oc][t] · plane[off(t) + j]
+ * over the zero-padded planes, for every wide output j < `wide` (a
+ * multiple of kDirectCols). Tap t = (c, kh, kw) sits at
+ * off(t) = c·plane_size + kh·wp + kw, so each tap is one contiguous
+ * saxpy. A tile keeps 2 output channels × 4 vectors in registers and
+ * adds the taps in t order with the fused multiply-add of
+ * `micro_kernel_avx2`. An odd last channel pairs with itself; `out`
+ * has room for the extra row.
+ */
+__attribute__((target("avx2,fma"))) void
+direct_conv_avx2(const float* plane, std::int64_t in_c,
+                 std::int64_t plane_size, std::int64_t wp,
+                 std::int64_t kernel, const float* w, std::int64_t out_c,
+                 std::int64_t wide, float* out)
+{
+    const std::int64_t taps = in_c * kernel * kernel;
+    for (std::int64_t oc = 0; oc < out_c; oc += 2) {
+        const float* wrow[2] = {w + oc * taps,
+                                w + std::min(oc + 1, out_c - 1) * taps};
+        for (std::int64_t j = 0; j < wide; j += kDirectCols) {
+            __m256 acc[2][4];
+#pragma GCC unroll 2
+            for (int r = 0; r < 2; ++r) {
+#pragma GCC unroll 4
+                for (int v = 0; v < 4; ++v) {
+                    acc[r][v] = _mm256_setzero_ps();
+                }
+            }
+            std::int64_t t = 0;
+            for (std::int64_t c = 0; c < in_c; ++c) {
+                for (std::int64_t kh = 0; kh < kernel; ++kh) {
+                    const float* src = plane + c * plane_size + kh * wp + j;
+                    for (std::int64_t kw = 0; kw < kernel; ++kw, ++t) {
+                        __m256 xv[4];
+#pragma GCC unroll 4
+                        for (int v = 0; v < 4; ++v) {
+                            xv[v] = _mm256_loadu_ps(src + kw + 8 * v);
+                        }
+#pragma GCC unroll 2
+                        for (int r = 0; r < 2; ++r) {
+                            const __m256 wv = _mm256_broadcast_ss(wrow[r] + t);
+#pragma GCC unroll 4
+                            for (int v = 0; v < 4; ++v) {
+                                acc[r][v] = _mm256_fmadd_ps(wv, xv[v], acc[r][v]);
+                            }
+                        }
+                    }
+                }
+            }
+#pragma GCC unroll 2
+            for (int r = 0; r < 2; ++r) {
+#pragma GCC unroll 4
+                for (int v = 0; v < 4; ++v) {
+                    _mm256_storeu_ps(out + (oc + r) * wide + j + 8 * v,
+                                     acc[r][v]);
+                }
+            }
+        }
+    }
+}
+#endif
+
+/**
+ * Runtime-selected micro-kernel, its panel width, and the direct
+ * convolution kernel that matches it bit for bit (null when the
+ * micro-kernel has no fused multiply-add).
+ */
 struct KernelChoice
 {
     MicroKernelFn fn;
     std::int64_t nr;
+    DirectConvFn conv;
 };
 
 KernelChoice
@@ -233,10 +316,10 @@ select_kernel()
 {
 #if defined(__x86_64__) || defined(__i386__)
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-        return {micro_kernel_avx2, kNrAvx};
+        return {micro_kernel_avx2, kNrAvx, direct_conv_avx2};
     }
 #endif
-    return {micro_kernel_sse, kNrSse};
+    return {micro_kernel_sse, kNrSse, nullptr};
 }
 
 const KernelChoice&
@@ -564,6 +647,72 @@ gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
         return;
     }
     gemm_blocked(m, n, k, alpha, a, a_rs, a_cs, b, b_rs, b_cs, c);
+}
+
+bool
+conv2d_direct_applies(std::int64_t in_c, std::int64_t out_c,
+                      std::int64_t kernel, std::int64_t stride,
+                      std::int64_t out_h, std::int64_t out_w)
+{
+    // gemm's dispatch to gemm_blocked, restricted to one k block: there
+    // each output is a single fused chain over all k taps, from 0.
+    const std::int64_t m = out_c;
+    const std::int64_t n = out_h * out_w;
+    const std::int64_t k = in_c * kernel * kernel;
+    return kernel_choice().conv != nullptr && stride == 1 && m >= kMr &&
+           n >= kNrSse && m * n * k > kSmallWork && k <= kKc;
+}
+
+void
+conv2d_direct(const float* x, std::int64_t in_c, std::int64_t in_h,
+              std::int64_t in_w, std::int64_t kernel, std::int64_t padding,
+              const float* w, std::int64_t out_c, const float* bias, float* y)
+{
+    const KernelChoice& kern = kernel_choice();
+    SHREDDER_CHECK(kern.conv != nullptr, "conv2d_direct needs AVX2+FMA");
+    const std::int64_t hp = in_h + 2 * padding;
+    const std::int64_t wp = in_w + 2 * padding;
+    const std::int64_t out_h = hp - kernel + 1;
+    const std::int64_t out_w = wp - kernel + 1;
+    const std::int64_t plane_size = hp * wp;
+    // Wide output j = oh·wp + ow runs over whole padded rows; the
+    // columns ow ≥ out_w are computed and dropped. The last tile reads
+    // up to (kernel − 1)·(wp + 1) floats past `wide` in the last plane.
+    const std::int64_t wide = round_up((out_h - 1) * wp + out_w, kDirectCols);
+    const std::int64_t padded =
+        (in_c - 1) * plane_size + wide + (kernel - 1) * (wp + 1);
+
+    // Step 1: copy the item once into zero-padded planes.
+    ScratchArena& arena = ScratchArena::for_this_thread();
+    ScratchLease plane = arena.acquire(static_cast<std::size_t>(padded));
+    float* pp = plane.data();
+    std::fill(pp, pp + padded, 0.0f);
+    for (std::int64_t c = 0; c < in_c; ++c) {
+        for (std::int64_t ih = 0; ih < in_h; ++ih) {
+            const float* src = x + (c * in_h + ih) * in_w;
+            std::copy(src, src + in_w,
+                      pp + c * plane_size + (ih + padding) * wp + padding);
+        }
+    }
+
+    // Step 2: every tap of every wide output, in im2col row order.
+    ScratchLease out = arena.acquire(
+        static_cast<std::size_t>(round_up(out_c, 2) * wide));
+    kern.conv(pp, in_c, plane_size, wp, kernel, w, out_c, wide, out.data());
+
+    // Step 3: drop the pad columns. `+ 0.0f` is gemm's C = 0 + 1·acc (a
+    // −0 sum stores as +0), and the bias comes last, as in Conv2d.
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        const float b = bias != nullptr ? bias[oc] : 0.0f;
+        for (std::int64_t oh = 0; oh < out_h; ++oh) {
+            const float* src = out.data() + oc * wide + oh * wp;
+            float* dst = y + (oc * out_h + oh) * out_w;
+            for (std::int64_t ow = 0; ow < out_w; ++ow) {
+                const float v = src[ow] + 0.0f;
+                dst[ow] = bias != nullptr ? v + b : v;
+            }
+        }
+    }
 }
 
 }  // namespace shredder

@@ -42,6 +42,42 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           float beta, float* c);
 
 /**
+ * Whether `conv2d_direct` computes a convolution of this geometry.
+ *
+ * True for a stride-1 layer whose im2col product
+ * `gemm(W[out_c × in_c·k·k], col[in_c·k·k × out_h·out_w])` the packed
+ * path would run as one k block of the AVX2+FMA micro-kernel; false on
+ * a CPU without AVX2+FMA. Every other convolution keeps im2col + GEMM.
+ */
+bool conv2d_direct_applies(std::int64_t in_c, std::int64_t out_c,
+                           std::int64_t kernel, std::int64_t stride,
+                           std::int64_t out_h, std::int64_t out_w);
+
+/**
+ * Direct stride-1 convolution of one C×H×W item, bit-identical to
+ * `im2col` + `gemm(false, false, out_c, OH·OW, in_c·k·k, 1, w, col, 0, y)`
+ * followed by adding `bias[c]` to channel c: every output builds up from
+ * 0 over the (c, kh, kw) taps in im2col row order with the micro-kernel's
+ * fused multiply-add, pad taps included, and the bias comes last.
+ * Requires `conv2d_direct_applies(in_c, out_c, kernel, 1, OH, OW)`.
+ *
+ * @param x        Input item, in_c×in_h×in_w contiguous.
+ * @param in_c     Input channels.
+ * @param in_h     Input height.
+ * @param in_w     Input width.
+ * @param kernel   Square kernel extent.
+ * @param padding  Zero padding on every side.
+ * @param w        Weights, out_c×(in_c·kernel·kernel) row-major.
+ * @param out_c    Output channels.
+ * @param bias     Per-output-channel bias, or null for none.
+ * @param y        Output, out_c×OH×OW contiguous (overwritten).
+ */
+void conv2d_direct(const float* x, std::int64_t in_c, std::int64_t in_h,
+                   std::int64_t in_w, std::int64_t kernel,
+                   std::int64_t padding, const float* w, std::int64_t out_c,
+                   const float* bias, float* y);
+
+/**
  * Maximum inner dimension `k` accepted by `gemm_s8`. Derived from the
  * int32 accumulator: packed activations are clamped to ±2047 and
  * weights span ±128, so k·2047·128 must stay below 2³¹.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/models/zoo.h"
 #include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dropout.h"
@@ -13,6 +14,8 @@
 #include "src/nn/linear.h"
 #include "src/nn/lrn.h"
 #include "src/nn/pool.h"
+#include "src/tensor/gemm.h"
+#include "src/tensor/im2col.h"
 #include "tests/test_util.h"
 
 namespace shredder {
@@ -294,6 +297,182 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGradCase{3, 2, 5, 1, 2, 6, 6},
                       ConvGradCase{2, 2, 1, 1, 0, 4, 4},
                       ConvGradCase{1, 4, 2, 2, 0, 6, 6}));
+
+/** `Conv2d::forward` as im2col + `gemm` + bias per item (no direct path). */
+Tensor
+conv_by_lowering(nn::Conv2d& conv, const Tensor& x)
+{
+    const nn::Conv2dConfig& cfg = conv.config();
+    const Shape out_shape = conv.output_shape(x.shape());
+    const std::int64_t in_c = x.shape()[1];
+    const std::int64_t in_h = x.shape()[2];
+    const std::int64_t in_w = x.shape()[3];
+    const std::int64_t out_c = out_shape[1];
+    const std::int64_t cols = out_shape[2] * out_shape[3];
+    const std::int64_t rows = in_c * cfg.kernel * cfg.kernel;
+    Tensor y(out_shape);
+    std::vector<float> col(static_cast<std::size_t>(rows * cols));
+    for (std::int64_t n = 0; n < x.shape()[0]; ++n) {
+        im2col(x.data() + n * in_c * in_h * in_w, in_c, in_h, in_w,
+               cfg.kernel, cfg.kernel, cfg.stride, cfg.stride, cfg.padding,
+               cfg.padding, col.data());
+        float* yn = y.data() + n * out_c * cols;
+        gemm(false, false, out_c, cols, rows, 1.0f,
+             conv.weight().value.data(), col.data(), 0.0f, yn);
+        if (cfg.bias) {
+            for (std::int64_t c = 0; c < out_c; ++c) {
+                for (std::int64_t i = 0; i < cols; ++i) {
+                    yn[c * cols + i] += conv.bias().value[c];
+                }
+            }
+        }
+    }
+    return y;
+}
+
+struct ConvGeometry
+{
+    std::int64_t in_c, out_c, k, stride, pad, h, w;
+};
+
+TEST(Conv2d, DirectPathBitExactWithIm2colGemm)
+{
+    // Geometries on both sides of the direct path's dispatch rule
+    // (stride 1, m ≥ 6, n ≥ 8, m·n·k > 16384, k ≤ 256).
+    const std::vector<ConvGeometry> grid = {
+        {1, 6, 5, 1, 2, 28, 28},   // LeNet conv1 (direct)
+        {6, 16, 5, 1, 0, 14, 14},  // LeNet conv2 (direct)
+        {16, 120, 5, 1, 0, 5, 5},  // LeNet conv3: n = 1
+        {3, 32, 3, 1, 1, 32, 32},  // CIFAR conv0 (direct)
+        {3, 32, 5, 2, 2, 20, 20},  // stride 2
+        {10, 7, 5, 1, 2, 9, 6},    // k = 250, odd out_c (direct)
+        {11, 6, 5, 1, 2, 9, 6},    // k = 275: two k blocks
+        {28, 6, 3, 1, 1, 6, 5},    // k = 252 (direct)
+        {29, 6, 3, 1, 1, 6, 5},    // k = 261: two k blocks
+        {1, 8, 4, 1, 0, 11, 19},   // m·n·k = 16384 exactly
+        {1, 8, 4, 1, 0, 6, 46},    // m·n·k = 16512 (direct)
+        {2, 5, 3, 1, 1, 20, 20},   // m = 5
+        {4, 9, 3, 1, 1, 2, 3},     // n = 6
+        {32, 8, 1, 1, 0, 12, 12},  // 1×1 kernel (direct)
+        {32, 8, 1, 1, 1, 7, 9},    // 1×1 kernel, padded (direct)
+        {2, 6, 7, 1, 3, 10, 13},   // 7×7, padding 3 (direct)
+        {2, 6, 11, 1, 2, 12, 15},  // 11×11, k = 242 (direct)
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    int direct = 0;
+    int lowered = 0;
+    for (const ConvGeometry& g : grid) {
+        nn::Conv2dConfig cfg;
+        cfg.in_channels = g.in_c;
+        cfg.out_channels = g.out_c;
+        cfg.kernel = g.k;
+        cfg.stride = g.stride;
+        cfg.padding = g.pad;
+        for (const bool bias : {true, false}) {
+            cfg.bias = bias;
+            Rng rng(static_cast<std::uint64_t>(g.in_c * 1000 + g.k * 10));
+            nn::Conv2d conv(cfg, rng);
+            if (bias) {
+                conv.bias().value = Tensor::normal(Shape({g.out_c}), rng);
+            }
+            const std::int64_t oh = conv_out_extent(g.h, g.k, g.stride, g.pad);
+            const std::int64_t ow = conv_out_extent(g.w, g.k, g.stride, g.pad);
+            (conv2d_direct_applies(g.in_c, g.out_c, g.k, g.stride, oh, ow)
+                 ? direct
+                 : lowered)++;
+            for (const bool special : {false, true}) {
+                if (special) {
+                    // ±inf weights meet the zero pad taps (NaN) and the
+                    // NaN/±inf inputs below.
+                    Tensor& wt = conv.weight().value;
+                    wt[0] = inf;
+                    wt[wt.size() / 2] = -inf;
+                }
+                for (const std::int64_t batch : {1, 3, 16}) {
+                    Tensor x = Tensor::normal(
+                        Shape({batch, g.in_c, g.h, g.w}), rng);
+                    if (special) {
+                        for (std::int64_t i = 0; i < x.size(); i += 37) {
+                            x[i] = (i / 37) % 3 == 0   ? nan
+                                   : (i / 37) % 3 == 1 ? inf
+                                                       : -inf;
+                        }
+                    }
+                    ExecutionContext ctx;
+                    const std::string what =
+                        "in_c " + std::to_string(g.in_c) + " out_c " +
+                        std::to_string(g.out_c) + " k " +
+                        std::to_string(g.k) + " stride " +
+                        std::to_string(g.stride) + " pad " +
+                        std::to_string(g.pad) + " map " +
+                        std::to_string(g.h) + "x" + std::to_string(g.w) +
+                        " batch " + std::to_string(batch) +
+                        (bias ? " bias" : " no bias") +
+                        (special ? " special" : "");
+                    expect_same_bits(conv.forward(x, ctx, Mode::kEval),
+                                     conv_by_lowering(conv, x),
+                                     what.c_str());
+                }
+            }
+        }
+    }
+    // The grid straddles the rule (the direct side is empty only on a
+    // CPU without AVX2+FMA, where every layer lowers).
+    EXPECT_GT(lowered, 0);
+    if (conv2d_direct_applies(1, 6, 5, 1, 28, 28)) {
+        EXPECT_GT(direct, 0);
+    }
+}
+
+TEST(Conv2d, RowsDoNotDependOnBatch)
+{
+    // Row r of a batch-16 forward is the batch-1 forward of row r, bit
+    // for bit, at every LeNet conv and AlexNet's first two: the property
+    // NoiseTrainer's edge memo relies on.
+    struct Net
+    {
+        std::string name;
+        int convs;
+    };
+    for (const Net& net : {Net{"lenet", 3}, Net{"alexnet", 2}}) {
+        Rng rng(21);
+        auto model = models::make_network(net.name, rng);
+        const Shape chw = models::input_shape_for(net.name);
+        Shape in({16, chw[0], chw[1], chw[2]});
+        int seen = 0;
+        for (std::int64_t i = 0; i < model->size() && seen < net.convs;
+             ++i) {
+            const auto* conv =
+                dynamic_cast<const nn::Conv2d*>(&model->layer(i));
+            if (conv == nullptr) {
+                in = model->layer(i).output_shape(in);
+                continue;
+            }
+            ++seen;
+            const Tensor x = Tensor::normal(in, rng);
+            ExecutionContext ctx;
+            const Tensor y = conv->forward(x, ctx, Mode::kEval);
+            const std::int64_t xrow = x.size() / 16;
+            const std::int64_t yrow = y.size() / 16;
+            const Shape row_shape({1, in[1], in[2], in[3]});
+            for (std::int64_t r = 0; r < 16; ++r) {
+                Tensor xr(row_shape);
+                std::memcpy(xr.data(), x.data() + r * xrow,
+                            static_cast<std::size_t>(xrow) * sizeof(float));
+                const Tensor yr = conv->forward(xr, ctx, Mode::kEval);
+                ASSERT_EQ(yr.size(), yrow);
+                EXPECT_EQ(std::memcmp(yr.data(), y.data() + r * yrow,
+                                      static_cast<std::size_t>(yrow) *
+                                          sizeof(float)),
+                          0)
+                    << net.name << " layer " << i << " row " << r;
+            }
+            in = conv->output_shape(in);
+        }
+        EXPECT_EQ(seen, net.convs) << net.name;
+    }
+}
 
 // ---------------------------------------------------------------------
 // Pooling
