@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "src/data/dataloader.h"
 #include "src/info/snr.h"
@@ -20,25 +19,17 @@ namespace core {
 namespace {
 
 /**
- * True when every edge layer computes each batch row from that row
- * alone, with the same arithmetic whatever the batch: a memoized row
- * then equals the row a fresh batched edge forward would give. These
- * are the layers before every zoo network's conv cuts; any other layer
- * turns the memo off.
+ * Freeze every network weight, writing only flags not yet set: once a
+ * constructor has frozen them, concurrent trainers only read them.
  */
-bool
-edge_acts_per_row(split::SplitModel& model)
+void
+freeze(nn::Sequential& network)
 {
-    static const char* const kPerRow[] = {"conv2d", "relu", "maxpool2d",
-                                          "lrn"};
-    for (std::int64_t i = 0; i < model.cut(); ++i) {
-        const std::string kind = model.network().layer(i).kind();
-        if (std::none_of(std::begin(kPerRow), std::end(kPerRow),
-                         [&](const char* k) { return kind == k; })) {
-            return false;
+    for (nn::Parameter* p : network.parameters()) {
+        if (!p->frozen) {
+            p->frozen = true;
         }
     }
-    return true;
 }
 
 }  // namespace
@@ -52,26 +43,24 @@ NoiseTrainer::NoiseTrainer(split::SplitModel& model,
     SHREDDER_REQUIRE(config.batch_size > 0, "trainer needs batch size > 0");
     SHREDDER_REQUIRE(train_set.size() > 0,
                      "trainer needs a non-empty training set");
+    freeze(model_.network());
 }
 
 NoiseTrainResult
 NoiseTrainer::train()
 {
-    // Freeze every network weight: Shredder never retrains the model.
-    for (nn::Parameter* p : model_.network().parameters()) {
-        p->frozen = true;
-    }
+    // Weights unfrozen since construction are frozen again.
+    freeze(model_.network());
+    model_.revalidate_edge_memo();
 
+    NoiseTrainResult result;
     // The run's private execution context: every edge/cloud pass of
     // this loop caches activations here, so concurrent trainers (or a
     // live server) can share the frozen network untouched.
     nn::ExecutionContext ctx(config_.seed * 0x9E3779B97F4A7C15ULL + 1);
-    // L is never differentiated: its pass keeps no backward caches.
     const auto edge_pass = [&](const Tensor& images) {
-        ctx.set_retain_activations(false);
-        Tensor a = model_.edge_forward(images, ctx, nn::Mode::kEval);
-        ctx.set_retain_activations(true);
-        return a;
+        return model_.edge_forward_memoized(images, ctx,
+                                            &result.edge_passes);
     };
 
     // Noise tensor shaped like one activation sample at the cut.
@@ -111,19 +100,6 @@ NoiseTrainer::train()
     data::DataLoader loader(train_set_, config_.batch_size,
                             /*shuffle=*/true, rng);
 
-    // Edge memo (see header): one activation row per dataset index,
-    // empty until kept; at most `memo_rows_left` more rows are kept.
-    std::vector<Tensor> memo(static_cast<std::size_t>(train_set_.size()));
-    const auto kept = [&](std::int64_t idx) -> Tensor& {
-        return memo[static_cast<std::size_t>(idx)];
-    };
-    const auto is_kept = [&](std::int64_t idx) { return !kept(idx).empty(); };
-    const std::size_t row_bytes =
-        sizeof(float) * static_cast<std::size_t>(sample_shape.numel());
-    std::size_t memo_rows_left =
-        edge_acts_per_row(model_) ? edge_memo_bytes_ / row_bytes : 0;
-
-    NoiseTrainResult result;
     double in_vivo = 0.0;
     double batch_acc = 0.0;
     for (int it = 0; it < config_.iterations; ++it) {
@@ -134,29 +110,8 @@ NoiseTrainer::train()
             SHREDDER_CHECK(batch.has_value(), "empty training set");
         }
 
-        // Edge activation: from the memo when every row is kept, else
-        // one batched forward through L whose new rows are kept.
-        const std::int64_t rows = batch->size();
-        Tensor activation;
-        if (std::all_of(batch->indices.begin(), batch->indices.end(),
-                        is_kept)) {
-            activation = Tensor(act_shape.with_dim(0, rows));
-            for (std::int64_t r = 0; r < rows; ++r) {
-                activation.set_slice0(
-                    r, kept(batch->indices[static_cast<std::size_t>(r)]));
-            }
-        } else {
-            activation = edge_pass(batch->images);
-            result.edge_passes += rows;
-            for (std::int64_t r = 0; r < rows && memo_rows_left > 0; ++r) {
-                Tensor& slot =
-                    kept(batch->indices[static_cast<std::size_t>(r)]);
-                if (slot.empty()) {
-                    slot = activation.slice0(r);
-                    --memo_rows_left;
-                }
-            }
-        }
+        // Edge forward (no gradients needed through L), memoized.
+        const Tensor activation = edge_pass(batch->images);
         const Tensor noisy = noise.apply(activation);
 
         // Cloud forward + loss.

@@ -9,20 +9,18 @@
  * is the optimizer, as in the paper.
  *
  * Edge memo. L is frozen and runs in eval mode, so a training sample
- * has the same activation on every visit. One `train()` call keeps
- * each sample's activation row, keyed by its dataset index, and
- * assembles a batch whose rows are all kept from those rows instead of
- * running L again. A batch with any row not kept runs the batched edge
- * forward as usual and keeps its new rows. The memo holds at most
- * `kEdgeMemoBytes`; samples past that budget run through L on every
- * visit. It is used only when every edge layer acts on each batch row
- * alone (convolution, ReLU, max pooling, LRN: the layers before every
- * zoo network's conv cuts): those rows do not depend on which batch
- * computed them, so the learned noise is bit-identical to running L
- * every step. Any other edge, e.g. one with a `Linear` layer (whose
- * GEMM path depends on the batch size), runs L every step.
- * `NoiseTrainResult::edge_passes` counts the samples that went through
- * L inside the loop.
+ * has the same activation on every visit. The trainer takes every edge
+ * activation from `SplitModel::edge_forward_memoized`, whose memo is
+ * keyed by input bytes and lives on the model (split_model.h): the
+ * first trainer of a collection runs L once per sample, and every
+ * later trainer, and the `PrivacyMeter`, on the same model reuses
+ * those rows. `train()` revalidates the memo once, so weights changed
+ * between calls are never served stale. The learned noise is
+ * bit-identical to running L every step. The constructor freezes the
+ * network's weights, so trainers built first and then trained on
+ * several threads only read the frozen flags.
+ * `NoiseTrainResult::edge_passes` counts the samples one `train()`
+ * call ran through L, calibration probe included.
  *
  * Read contract. The memo skips only the edge forward, never the data:
  * `train()` calls `Dataset::get` exactly once per sample of every
@@ -34,7 +32,6 @@
 #ifndef SHREDDER_CORE_NOISE_TRAINER_H
 #define SHREDDER_CORE_NOISE_TRAINER_H
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,9 +44,6 @@
 
 namespace shredder {
 namespace core {
-
-/** Bytes of edge activations one `train()` call may memoize. */
-inline constexpr std::size_t kEdgeMemoBytes = std::size_t{256} << 20;
 
 /** Knobs for one noise-training run. */
 struct NoiseTrainConfig
@@ -97,7 +91,7 @@ struct NoiseTrainResult
     double epochs = 0.0;           ///< Training cost in dataset epochs.
     double final_in_vivo = 0.0;
     double final_batch_accuracy = 0.0;
-    /** Samples run through the edge L inside the loop (see file comment). */
+    /** Samples run through the edge L by this call (see file comment). */
     std::int64_t edge_passes = 0;
 };
 
@@ -106,6 +100,8 @@ class NoiseTrainer
 {
   public:
     /**
+     * Freezes every network weight (Shredder never retrains the model).
+     *
      * @param model      Split view of the frozen pre-trained network.
      * @param train_set  Borrowed training data for the noise updates.
      * @param config     Training knobs.
@@ -117,13 +113,9 @@ class NoiseTrainer
     NoiseTrainResult train();
 
   private:
-    // Lets tests shrink the memo budget to reach its over-budget path.
-    friend struct NoiseTrainerTestPeer;
-
     split::SplitModel& model_;
     const data::Dataset& train_set_;
     NoiseTrainConfig config_;
-    std::size_t edge_memo_bytes_ = kEdgeMemoBytes;
 };
 
 }  // namespace core

@@ -82,9 +82,10 @@ PrivacyMeter::measure_impl(const runtime::NoisePolicy& policy)
     Tensor inputs(Shape({mi_total, dx}));
     Tensor transmitted(Shape({mi_total, da}));
 
-    // Per-measurement context: the meter never touches model state.
+    // Per-measurement context: the meter never touches the weights.
     // It runs forward-only, so layers keep no backward caches.
     nn::ExecutionContext ctx(config_.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+    model_.revalidate_edge_memo();
     ctx.set_retain_activations(false);
     double correct_weighted = 0.0;
     std::int64_t acc_counted = 0;
@@ -102,7 +103,7 @@ PrivacyMeter::measure_impl(const runtime::NoisePolicy& policy)
             data::materialize(test_set_, done, count);
 
         const Tensor activation =
-            model_.edge_forward(batch.images, ctx, nn::Mode::kEval);
+            model_.edge_forward_memoized(batch.images, ctx);
 
         // Apply the policy row by row, exactly as a server applies it
         // per request: query `done + i` uses request id `done + i`,

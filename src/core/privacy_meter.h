@@ -24,6 +24,10 @@
  * activations: the mechanism whose privacy this meter reports is
  * bit-for-bit the mechanism that is deployed. `measure_policy`
  * measures any caller-supplied policy directly.
+ *
+ * The edge runs through the model's edge memo (split_model.h), which
+ * each pass revalidates once: a second pass over the same test rows,
+ * or rows a `NoiseTrainer` on the same model already saw, skips L.
  */
 #ifndef SHREDDER_CORE_PRIVACY_METER_H
 #define SHREDDER_CORE_PRIVACY_METER_H

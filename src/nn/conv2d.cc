@@ -7,8 +7,10 @@
  * would run as one k block of the AVX2+FMA micro-kernel takes
  * `conv2d_direct` (zero-padded planes, one contiguous saxpy per tap,
  * bit-identical to the lowering); every other layer, and backward,
- * lowers through im2col/col2im into the packed GEMM. Scratch comes from
- * per-thread arenas.
+ * lowers through im2col/col2im into the packed GEMM. When im2col would
+ * copy the item unchanged (a kernel covering the whole unpadded map,
+ * or a 1×1 stride-1 unpadded kernel) the GEMM reads the item in place.
+ * Scratch comes from per-thread arenas.
  */
 #include "src/nn/conv2d.h"
 
@@ -23,6 +25,27 @@
 
 namespace shredder {
 namespace nn {
+
+namespace {
+
+/**
+ * True when im2col of an in_h×in_w item is the item itself in (c, h, w)
+ * order: an unpadded kernel that covers the whole map (one output, rows
+ * (c, kh, kw)) or an unpadded 1×1 stride-1 kernel (rows c, columns
+ * (h, w)).
+ */
+bool
+im2col_is_identity(const Conv2dConfig& cfg, std::int64_t in_h,
+                   std::int64_t in_w)
+{
+    if (cfg.padding != 0) {
+        return false;
+    }
+    return (cfg.kernel == in_h && cfg.kernel == in_w) ||
+           (cfg.kernel == 1 && cfg.stride == 1);
+}
+
+}  // namespace
 
 Conv2d::Conv2d(const Conv2dConfig& config, Rng& rng) : config_(config)
 {
@@ -98,26 +121,34 @@ Conv2d::forward(const Tensor& x, ExecutionContext& ctx, Mode /*mode*/) const
     const float* wp = weight_.value.data();
     const bool direct = conv2d_direct_applies(
         in_c, out_c, config_.kernel, config_.stride, out_h, out_w);
+    const bool col_is_item = im2col_is_identity(config_, in_h, in_w);
 
     parallel_for(0, batch, [&](std::int64_t n) {
+        const float* item = xp + n * in_c * in_h * in_w;
         if (direct) {
-            conv2d_direct(xp + n * in_c * in_h * in_w, in_c, in_h, in_w,
-                          config_.kernel, config_.padding, wp, out_c,
+            conv2d_direct(item, in_c, in_h, in_w, config_.kernel,
+                          config_.padding, wp, out_c,
                           config_.bias ? bias_.value.data() : nullptr,
                           yp + n * out_c * col_cols);
             return;
         }
-        // Per-thread scratch (not the context's arena): these chunks
-        // run on pool workers, each of which owns a private arena.
-        ScratchLease col = ScratchArena::for_this_thread().acquire(
-            static_cast<std::size_t>(col_rows * col_cols));
-        im2col(xp + n * in_c * in_h * in_w, in_c, in_h, in_w,
-               config_.kernel, config_.kernel, config_.stride,
-               config_.stride, config_.padding, config_.padding,
-               col.data());
         // out[Cout, OHOW] = W[Cout, col_rows] · col[col_rows, OHOW]
-        gemm(false, false, out_c, col_cols, col_rows, 1.0f, wp, col.data(),
-             0.0f, yp + n * out_c * col_cols);
+        const auto lowered = [&](const float* col) {
+            gemm(false, false, out_c, col_cols, col_rows, 1.0f, wp, col,
+                 0.0f, yp + n * out_c * col_cols);
+        };
+        if (col_is_item) {
+            lowered(item);
+        } else {
+            // Per-thread scratch (not the context's arena): these chunks
+            // run on pool workers, each of which owns a private arena.
+            ScratchLease col = ScratchArena::for_this_thread().acquire(
+                static_cast<std::size_t>(col_rows * col_cols));
+            im2col(item, in_c, in_h, in_w, config_.kernel, config_.kernel,
+                   config_.stride, config_.stride, config_.padding,
+                   config_.padding, col.data());
+            lowered(col.data());
+        }
         if (config_.bias) {
             const float* bp = bias_.value.data();
             float* orow = yp + n * out_c * col_cols;
@@ -161,6 +192,7 @@ Conv2d::backward(const Tensor& grad_out, ExecutionContext& ctx)
     const float* gp = grad_out.data();
     const float* wp = weight_.value.data();
     const bool need_wgrad = !weight_.frozen;
+    const bool col_is_item = im2col_is_identity(config_, in_h, in_w);
 
     // The context's arena: backward is serial over the batch, so the
     // scratch stays private to this call even with other contexts
@@ -176,13 +208,16 @@ Conv2d::backward(const Tensor& grad_out, ExecutionContext& ctx)
     for (std::int64_t n = 0; n < batch; ++n) {
         const float* gn = gp + n * out_c * col_cols;
         if (need_wgrad) {
-            im2col(x.data() + n * in_c * in_h * in_w, in_c, in_h, in_w,
-                   config_.kernel, config_.kernel, config_.stride,
-                   config_.stride, config_.padding, config_.padding,
-                   col.data());
+            const float* item = x.data() + n * in_c * in_h * in_w;
+            if (!col_is_item) {
+                im2col(item, in_c, in_h, in_w, config_.kernel,
+                       config_.kernel, config_.stride, config_.stride,
+                       config_.padding, config_.padding, col.data());
+            }
             // dW[Cout, col_rows] += g[Cout, OHOW] · colᵀ[OHOW, col_rows]
             gemm(false, true, out_c, col_rows, col_cols, 1.0f, gn,
-                 col.data(), 1.0f, weight_.grad.data());
+                 col_is_item ? item : col.data(), 1.0f,
+                 weight_.grad.data());
         }
         // col_grad[col_rows, OHOW] = Wᵀ[col_rows, Cout] · g[Cout, OHOW]
         gemm(true, false, col_rows, col_cols, out_c, 1.0f, wp, gn, 0.0f,

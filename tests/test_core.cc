@@ -1,4 +1,5 @@
 /** @file Tests for the Shredder core (the paper's contribution). */
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -6,6 +7,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "src/core/noise_distribution.h"
 #include "src/core/noise_tensor.h"
 #include "src/core/noise_trainer.h"
+#include "src/core/privacy_meter.h"
 #include "src/core/shredder_loss.h"
 #include "src/data/dataloader.h"
 #include "src/data/digits.h"
@@ -28,20 +31,19 @@
 #include "tests/test_util.h"
 
 namespace shredder {
-namespace core {
+namespace split {
 
-/** Reaches the trainer's edge-memo budget, which has no public knob. */
-struct NoiseTrainerTestPeer
+/** Reaches the model's edge-memo budget, which has no public knob. */
+struct SplitModelTestPeer
 {
-    static NoiseTrainResult
-    train_with_memo_bytes(NoiseTrainer& trainer, std::size_t bytes)
+    static void
+    set_edge_memo_bytes(SplitModel& model, std::size_t bytes)
     {
-        trainer.edge_memo_bytes_ = bytes;
-        return trainer.train();
+        model.set_edge_memo_bytes(bytes);
     }
 };
 
-}  // namespace core
+}  // namespace split
 
 namespace {
 
@@ -394,8 +396,8 @@ TEST(NoiseDistribution, FitOnEmptyCollectionIsFatal)
 
 using core::NoiseTrainConfig;
 using core::NoiseTrainer;
-using core::NoiseTrainerTestPeer;
 using core::NoiseTrainResult;
+using split::SplitModelTestPeer;
 
 /**
  * The noise-learning loop without the edge memo, kept verbatim as the
@@ -524,29 +526,20 @@ same_bits(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/**
- * Train with the memo (at `memo_bytes`) and with the reference loop,
- * and expect bit-identical noise, trace and final statistics.
- */
-NoiseTrainResult
-train_matching_reference(split::SplitModel& model, const data::Dataset& ds,
-                         const NoiseTrainConfig& cfg,
-                         std::size_t memo_bytes = core::kEdgeMemoBytes)
+/** Expect bit-identical noise, trace and final statistics. */
+void
+expect_same_result(const NoiseTrainResult& got, const NoiseTrainResult& want)
 {
-    const NoiseTrainResult want = reference_train(model, ds, cfg);
-    NoiseTrainer trainer(model, ds, cfg);
-    NoiseTrainResult got =
-        NoiseTrainerTestPeer::train_with_memo_bytes(trainer, memo_bytes);
     if (got.noise.shape() != want.noise.shape()) {
         ADD_FAILURE() << "noise shape " << got.noise.shape().to_string()
                       << " vs " << want.noise.shape().to_string();
-        return got;
+        return;
     }
     EXPECT_EQ(std::memcmp(got.noise.data(), want.noise.data(),
                           sizeof(float) *
                               static_cast<std::size_t>(want.noise.size())),
               0)
-        << "learned noise differs from the reference loop";
+        << "learned noise differs";
     EXPECT_EQ(got.trace.size(), want.trace.size());
     for (std::size_t i = 0;
          i < std::min(got.trace.size(), want.trace.size()); ++i) {
@@ -565,6 +558,19 @@ train_matching_reference(split::SplitModel& model, const data::Dataset& ds,
     EXPECT_TRUE(same_bits(got.final_in_vivo, want.final_in_vivo));
     EXPECT_TRUE(
         same_bits(got.final_batch_accuracy, want.final_batch_accuracy));
+}
+
+/**
+ * Train through the model's edge memo and with the reference loop, and
+ * expect bit-identical results.
+ */
+NoiseTrainResult
+train_matching_reference(split::SplitModel& model, const data::Dataset& ds,
+                         const NoiseTrainConfig& cfg)
+{
+    const NoiseTrainResult want = reference_train(model, ds, cfg);
+    NoiseTrainResult got = NoiseTrainer(model, ds, cfg).train();
+    expect_same_result(got, want);
     return got;
 }
 
@@ -573,6 +579,11 @@ struct Visits
 {
     std::vector<std::int64_t> order;  ///< Every row, in loader order.
     std::int64_t distinct = 0;        ///< Distinct samples among them.
+    /**
+     * Rows an empty, unbounded edge memo runs through L: the probe's,
+     * then every row of each batch with a row not yet kept.
+     */
+    std::int64_t memo_passes = 0;
 
     std::int64_t rows() const
     {
@@ -580,12 +591,25 @@ struct Visits
     }
 };
 
+/** Samples the calibration probe runs through L. */
+std::int64_t
+probe_rows(const data::Dataset& ds, const NoiseTrainConfig& cfg)
+{
+    return cfg.init_scale_relative ? std::min(cfg.batch_size, ds.size())
+                                   : 0;
+}
+
 Visits
 loader_visits(const data::Dataset& ds, const NoiseTrainConfig& cfg)
 {
+    std::set<std::int64_t> kept;
+    Visits v;
+    for (std::int64_t i = 0; i < probe_rows(ds, cfg); ++i) {
+        kept.insert(i);
+    }
+    v.memo_passes = probe_rows(ds, cfg);
     Rng rng(cfg.seed);
     data::DataLoader loader(ds, cfg.batch_size, /*shuffle=*/true, rng);
-    Visits v;
     for (int it = 0; it < cfg.iterations; ++it) {
         auto batch = loader.next();
         if (!batch) {
@@ -594,6 +618,11 @@ loader_visits(const data::Dataset& ds, const NoiseTrainConfig& cfg)
         }
         v.order.insert(v.order.end(), batch->indices.begin(),
                        batch->indices.end());
+        if (std::any_of(batch->indices.begin(), batch->indices.end(),
+                        [&](std::int64_t i) { return kept.count(i) == 0; })) {
+            v.memo_passes += batch->size();
+            kept.insert(batch->indices.begin(), batch->indices.end());
+        }
     }
     v.distinct = static_cast<std::int64_t>(
         std::set<std::int64_t>(v.order.begin(), v.order.end()).size());
@@ -626,6 +655,19 @@ pin_digits()
     return data::DigitsDataset(c);
 }
 
+/** Bytes of the edge weights a model's memo copies. */
+std::size_t
+edge_weight_bytes(split::SplitModel& model)
+{
+    std::size_t floats = 0;
+    for (std::int64_t i = 0; i < model.cut(); ++i) {
+        for (const nn::Parameter* p : model.network().layer(i).parameters()) {
+            floats += static_cast<std::size_t>(p->value.size());
+        }
+    }
+    return sizeof(float) * floats;
+}
+
 TEST(NoiseTrainer, EdgeMemoIsBitExactAtEveryLenetCut)
 {
     Rng rng(21);
@@ -644,7 +686,6 @@ TEST(NoiseTrainer, EdgeMemoIsBitExactAtEveryLenetCut)
     }
     ASSERT_EQ(cuts.size(), 4u);
     for (const std::int64_t cut : cuts) {
-        split::SplitModel model(*net, cut);
         const bool memoized = cut != cuts.back();
         // Batch 16: 3 batches per epoch (16, 16, 5), ~3.5 epochs.
         // Batch 1: ~2.4 epochs, with the calibration probe.
@@ -655,14 +696,23 @@ TEST(NoiseTrainer, EdgeMemoIsBitExactAtEveryLenetCut)
                          std::to_string(batch));
             const NoiseTrainConfig cfg =
                 pin_recipe(batch, iterations, relative);
+            const Visits v = loader_visits(ds, cfg);
+            // A fresh model: its memo starts empty.
+            split::SplitModel model(*net, cut);
             const NoiseTrainResult r =
                 train_matching_reference(model, ds, cfg);
-            const Visits v = loader_visits(ds, cfg);
             // Memoized: L ran once per sample, every later visit hit.
-            EXPECT_EQ(r.edge_passes, memoized ? v.distinct : v.rows());
             if (memoized) {
+                EXPECT_EQ(r.edge_passes, v.distinct);
                 EXPECT_EQ(r.edge_passes, ds.size());
+            } else {
+                EXPECT_EQ(r.edge_passes, v.rows() + probe_rows(ds, cfg));
             }
+            // A second trainer on the model: every row hits, or, past
+            // the Linear, every row runs through L again.
+            const NoiseTrainResult again =
+                train_matching_reference(model, ds, cfg);
+            EXPECT_EQ(again.edge_passes, memoized ? 0 : r.edge_passes);
         }
     }
 }
@@ -683,7 +733,7 @@ TEST(NoiseTrainer, EdgeMemoIsBitExactThroughAlexnetLrn)
         split::SplitModel model(*net, cut);
         const NoiseTrainConfig cfg = pin_recipe(3, 6, true);
         const NoiseTrainResult r = train_matching_reference(model, ds, cfg);
-        EXPECT_EQ(r.edge_passes, loader_visits(ds, cfg).distinct);
+        EXPECT_EQ(r.edge_passes, loader_visits(ds, cfg).memo_passes);
     }
 }
 
@@ -693,25 +743,32 @@ TEST(NoiseTrainer, EdgeMemoOverBudgetRecomputesAndStaysBitExact)
     auto net = models::make_lenet(rng);
     const data::DigitsDataset ds = pin_digits();
     split::SplitModel model(*net, split::conv_cut_points(*net).front());
+    // The budget counts the weight copy, then each row's input and
+    // activation.
+    const std::size_t weights = edge_weight_bytes(model);
     const std::size_t row_bytes =
         sizeof(float) *
         static_cast<std::size_t>(
+            ds.image_shape().numel() +
             model.activation_shape(ds.image_shape()).numel());
+    ASSERT_GT(weights, 0u);
 
-    // No budget: L runs for every row of every step, as without a memo.
-    {
+    // No room for the weight copy, or for no row past it: L runs for
+    // every row of every step, as without a memo.
+    for (const std::size_t budget : {weights - 1, weights + row_bytes - 1}) {
+        SplitModelTestPeer::set_edge_memo_bytes(model, budget);
         const NoiseTrainConfig cfg = pin_recipe(16, 10, false);
-        const NoiseTrainResult r =
-            train_matching_reference(model, ds, cfg, 0);
+        const NoiseTrainResult r = train_matching_reference(model, ds, cfg);
         EXPECT_EQ(r.edge_passes, loader_visits(ds, cfg).rows());
     }
-    // Room for 5 rows at batch 1: those 5 hit, the other 32 samples
-    // run through L on every visit.
+    // Room for 5 rows at batch 1 (the probe's among them): those 5
+    // hit, the other 32 samples run through L on every visit.
     {
+        SplitModelTestPeer::set_edge_memo_bytes(model,
+                                                weights + 5 * row_bytes);
         const NoiseTrainConfig cfg = pin_recipe(1, 90, true);
         const Visits v = loader_visits(ds, cfg);
-        const NoiseTrainResult r =
-            train_matching_reference(model, ds, cfg, 5 * row_bytes);
+        const NoiseTrainResult r = train_matching_reference(model, ds, cfg);
         EXPECT_GT(r.edge_passes, v.distinct);
         EXPECT_LT(r.edge_passes, v.rows());
     }
@@ -719,12 +776,157 @@ TEST(NoiseTrainer, EdgeMemoOverBudgetRecomputesAndStaysBitExact)
     // batch, and later batches mixing kept and unkept rows run
     // through L while all-kept ones hit.
     {
+        SplitModelTestPeer::set_edge_memo_bytes(
+            model, weights + 30 * row_bytes + 1);
         const NoiseTrainConfig cfg = pin_recipe(4, 40, false);
         const Visits v = loader_visits(ds, cfg);
-        const NoiseTrainResult r =
-            train_matching_reference(model, ds, cfg, 30 * row_bytes + 1);
+        const NoiseTrainResult r = train_matching_reference(model, ds, cfg);
         EXPECT_GT(r.edge_passes, v.distinct);
         EXPECT_LT(r.edge_passes, v.rows());
+    }
+}
+
+TEST(NoiseTrainer, SixTrainersOnOneModelMatchSixOnFreshModels)
+{
+    // A collection's tensors: the first trainer fills the shared memo,
+    // the other five run no sample through L.
+    Rng rng(27);
+    auto net = models::make_lenet(rng);
+    const data::DigitsDataset ds = pin_digits();
+    const std::int64_t cut = split::conv_cut_points(*net).back();
+    split::SplitModel shared(*net, cut);
+    for (int t = 0; t < 6; ++t) {
+        SCOPED_TRACE("tensor " + std::to_string(t));
+        NoiseTrainConfig cfg = pin_recipe(4, 40, t % 2 == 1);
+        cfg.seed += static_cast<std::uint64_t>(t) * 101;
+        split::SplitModel fresh(*net, cut);
+        const NoiseTrainResult want = NoiseTrainer(fresh, ds, cfg).train();
+        const NoiseTrainResult got = NoiseTrainer(shared, ds, cfg).train();
+        expect_same_result(got, want);
+        EXPECT_EQ(want.edge_passes, loader_visits(ds, cfg).memo_passes);
+        EXPECT_EQ(got.edge_passes, t == 0 ? want.edge_passes : 0);
+    }
+}
+
+TEST(NoiseTrainer, EdgeMemoEmptiesWhenAnEdgeWeightChanges)
+{
+    Rng rng(28);
+    auto net = models::make_lenet(rng);
+    const data::DigitsDataset ds = pin_digits();
+    const std::int64_t cut = split::conv_cut_points(*net).back();
+    split::SplitModel model(*net, cut);
+    const NoiseTrainConfig cfg = pin_recipe(4, 40, true);
+    const NoiseTrainResult before = NoiseTrainer(model, ds, cfg).train();
+
+    // One edge weight changes between `train()` calls.
+    ASSERT_EQ(net->layer(0).kind(), "conv2d");
+    net->layer(0).parameters().front()->value[0] += 0.5f;
+    split::SplitModel fresh(*net, cut);
+    const NoiseTrainResult want = NoiseTrainer(fresh, ds, cfg).train();
+    const NoiseTrainResult got = NoiseTrainer(model, ds, cfg).train();
+    expect_same_result(got, want);
+    EXPECT_EQ(got.edge_passes, want.edge_passes);
+    EXPECT_EQ(got.edge_passes, loader_visits(ds, cfg).memo_passes);
+    // The rows kept before the change would have replayed `before`.
+    EXPECT_NE(std::memcmp(got.noise.data(), before.noise.data(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(got.noise.size())),
+              0);
+}
+
+/** Returns a brighter image on the second read of each index only. */
+class SecondReadChangesDataset : public data::Dataset
+{
+  public:
+    explicit SecondReadChangesDataset(const data::Dataset& inner)
+        : inner_(inner), reads_(static_cast<std::size_t>(inner.size()))
+    {
+    }
+
+    std::int64_t size() const override { return inner_.size(); }
+    data::Sample
+    get(std::int64_t idx) const override
+    {
+        data::Sample s = inner_.get(idx);
+        if (++reads_[static_cast<std::size_t>(idx)] == 2) {
+            for (std::int64_t i = 0; i < s.image.size(); ++i) {
+                s.image[i] += 0.25f;
+            }
+        }
+        return s;
+    }
+    Shape image_shape() const override { return inner_.image_shape(); }
+    std::int64_t num_classes() const override
+    {
+        return inner_.num_classes();
+    }
+    std::string name() const override { return inner_.name(); }
+
+  private:
+    const data::Dataset& inner_;
+    mutable std::vector<int> reads_;
+};
+
+TEST(NoiseTrainer, EdgeMemoNeverServesARowForAChangedImage)
+{
+    // Rows are keyed by image bytes, not by index: the second read of
+    // an index is a new image and runs through L; the third read is
+    // the first image again and may hit.
+    Rng rng(29);
+    auto net = models::make_lenet(rng);
+    const data::DigitsDataset inner = pin_digits();
+    split::SplitModel model(*net, split::conv_cut_points(*net).back());
+    const NoiseTrainConfig cfg = pin_recipe(4, 40, true);
+    const SecondReadChangesDataset ref_ds(inner);
+    const SecondReadChangesDataset ds(inner);
+    const NoiseTrainResult want = reference_train(model, ref_ds, cfg);
+    const NoiseTrainResult got = NoiseTrainer(model, ds, cfg).train();
+    expect_same_result(got, want);
+    EXPECT_GT(got.edge_passes, loader_visits(inner, cfg).memo_passes);
+}
+
+TEST(PrivacyMeter, ReadsTheEdgeThroughTheModelMemo)
+{
+    Rng rng(30);
+    auto net = models::make_lenet(rng);
+    const data::DigitsDataset train = pin_digits();
+    data::DigitsConfig tc;
+    tc.count = 29;
+    tc.seed = 80;
+    const data::DigitsDataset test(tc);
+    const std::int64_t cut = split::conv_cut_points(*net).back();
+    core::MeterConfig mc;
+    mc.accuracy_samples = 29;
+    mc.mi_samples = 24;
+    mc.batch_size = 8;
+    mc.mi.max_dims = 4;
+
+    split::SplitModel shared(*net, cut);
+    const NoiseTrainResult noise =
+        NoiseTrainer(shared, train, pin_recipe(4, 20, true)).train();
+    core::PrivacyMeter meter(shared, test, mc);
+    const core::PrivacyReport clean = meter.measure_clean();
+    const core::PrivacyReport fixed = meter.measure_fixed(noise.noise);
+
+    // The clean pass kept every test row: L runs for none of them.
+    std::int64_t passes = 0;
+    nn::ExecutionContext ctx;
+    shared.edge_forward_memoized(data::materialize(test, 0, 29).images,
+                                 ctx, &passes);
+    EXPECT_EQ(passes, 0);
+
+    // Reports equal those of a model with no memo, bit for bit.
+    split::SplitModel plain(*net, cut);
+    SplitModelTestPeer::set_edge_memo_bytes(plain, 0);
+    core::PrivacyMeter plain_meter(plain, test, mc);
+    for (const auto& [got, want] :
+         {std::pair<core::PrivacyReport, core::PrivacyReport>{
+              clean, plain_meter.measure_clean()},
+          {fixed, plain_meter.measure_fixed(noise.noise)}}) {
+        EXPECT_TRUE(same_bits(got.mi_bits, want.mi_bits));
+        EXPECT_TRUE(same_bits(got.accuracy, want.accuracy));
+        EXPECT_TRUE(same_bits(got.in_vivo, want.in_vivo));
+        EXPECT_EQ(got.samples, want.samples);
     }
 }
 

@@ -425,6 +425,100 @@ TEST(Conv2d, DirectPathBitExactWithIm2colGemm)
     }
 }
 
+TEST(Conv2d, IdentityIm2colSkipIsBitExact)
+{
+    // im2col of an item is the item itself when an unpadded kernel
+    // covers the whole map or is 1×1 at stride 1; Conv2d then hands the
+    // item to the GEMM directly, in forward and in backward's weight
+    // gradient. Both must equal the im2col lowering bit for bit; near
+    // misses (padding, stride 2, a kernel covering one extent) lower.
+    const std::vector<ConvGeometry> grid = {
+        {16, 120, 5, 1, 0, 5, 5},  // LeNet conv3: whole map
+        {16, 12, 5, 3, 0, 5, 5},   // whole map, stride 3
+        {3, 4, 3, 1, 0, 3, 3},     // whole map, 27-float items
+        {4, 3, 1, 1, 0, 3, 5},     // 1×1, stride 1
+        {5, 7, 1, 1, 0, 1, 1},     // 1×1 on a 1×1 map
+        {32, 8, 1, 1, 0, 12, 12},  // 1×1 (forward may run direct)
+        {16, 12, 5, 1, 1, 5, 5},   // whole map but padded
+        {4, 3, 1, 2, 0, 6, 6},     // 1×1, stride 2
+        {3, 4, 3, 1, 0, 3, 4},     // kernel covers the height only
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    int identity_lowered = 0;
+    for (const ConvGeometry& g : grid) {
+        nn::Conv2dConfig cfg;
+        cfg.in_channels = g.in_c;
+        cfg.out_channels = g.out_c;
+        cfg.kernel = g.k;
+        cfg.stride = g.stride;
+        cfg.padding = g.pad;
+        const std::int64_t oh = conv_out_extent(g.h, g.k, g.stride, g.pad);
+        const std::int64_t ow = conv_out_extent(g.w, g.k, g.stride, g.pad);
+        const bool identity =
+            g.pad == 0 && ((g.k == g.h && g.k == g.w) ||
+                           (g.k == 1 && g.stride == 1));
+        if (identity &&
+            !conv2d_direct_applies(g.in_c, g.out_c, g.k, g.stride, oh, ow)) {
+            ++identity_lowered;
+        }
+        const std::int64_t rows = g.in_c * g.k * g.k;
+        const std::int64_t cols = oh * ow;
+        for (const bool special : {false, true}) {
+            Rng rng(static_cast<std::uint64_t>(g.in_c * 1000 + g.k * 10 +
+                                               g.stride));
+            nn::Conv2d conv(cfg, rng);
+            conv.bias().value = Tensor::normal(Shape({g.out_c}), rng);
+            if (special) {
+                Tensor& wt = conv.weight().value;
+                wt[0] = inf;
+                wt[wt.size() / 2] = -inf;
+            }
+            for (const std::int64_t batch : {1, 3}) {
+                Tensor x =
+                    Tensor::normal(Shape({batch, g.in_c, g.h, g.w}), rng);
+                if (special) {
+                    for (std::int64_t i = 0; i < x.size(); i += 7) {
+                        x[i] = (i / 7) % 3 == 0   ? nan
+                               : (i / 7) % 3 == 1 ? inf
+                                                  : -inf;
+                    }
+                }
+                const std::string what =
+                    "in_c " + std::to_string(g.in_c) + " k " +
+                    std::to_string(g.k) + " stride " +
+                    std::to_string(g.stride) + " pad " +
+                    std::to_string(g.pad) + " map " + std::to_string(g.h) +
+                    "x" + std::to_string(g.w) + " batch " +
+                    std::to_string(batch) + (special ? " special" : "");
+                ExecutionContext ctx;
+                expect_same_bits(conv.forward(x, ctx, Mode::kTrain),
+                                 conv_by_lowering(conv, x),
+                                 ("forward " + what).c_str());
+
+                // dW = Σ_n g_n · im2col(x_n)ᵀ, from a zero gradient.
+                const Tensor grad =
+                    Tensor::normal(Shape({batch, g.out_c, oh, ow}), rng);
+                conv.weight().grad = Tensor(conv.weight().value.shape());
+                conv.backward(grad, ctx);
+                Tensor want(conv.weight().value.shape());
+                std::vector<float> col(static_cast<std::size_t>(rows * cols));
+                for (std::int64_t n = 0; n < batch; ++n) {
+                    im2col(x.data() + n * g.in_c * g.h * g.w, g.in_c, g.h,
+                           g.w, g.k, g.k, g.stride, g.stride, g.pad, g.pad,
+                           col.data());
+                    gemm(false, true, g.out_c, rows, cols, 1.0f,
+                         grad.data() + n * g.out_c * cols, col.data(), 1.0f,
+                         want.data());
+                }
+                expect_same_bits(conv.weight().grad, want,
+                                 ("weight grad " + what).c_str());
+            }
+        }
+    }
+    EXPECT_GE(identity_lowered, 5);
+}
+
 TEST(Conv2d, RowsDoNotDependOnBatch)
 {
     // Row r of a batch-16 forward is the batch-1 forward of row r, bit
